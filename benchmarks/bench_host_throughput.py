@@ -10,7 +10,7 @@ Two acceptance stories share this benchmark:
 * **Fused host kernels** (both sides). The reference pipeline runs the
   paper's stages as separate whole-field passes; the fused path
   (:mod:`repro.core.fastpath`) runs the same arithmetic in one blocked
-  pass with reused scratch and a byte-lane bit-shuffle, producing
+  pass with reused scratch and a word-level bit-shuffle, producing
   byte-identical streams (asserted here on every run). The shard engine
   stacks on top, dispatching fused super-shards across a worker pool.
 
@@ -35,9 +35,9 @@ written on every run including ``--quick``) and
 ``benchmarks/results/host_throughput.txt`` (full runs only).
 ``--min-speedup X`` exits non-zero unless the smooth-field v2-over-v1
 decode speedup reaches X; ``--min-fused-speedup X`` does the same for
-the smooth-field fused-over-reference *compress* speedup. CI uses
-conservative thresholds; the headline numbers in the committed JSON come
-from a full-size run.
+the fused-over-reference *compress* speedup on every profile, smooth and
+turbulent. CI uses conservative thresholds; the headline numbers in the
+committed JSON come from a full-size run.
 """
 
 from __future__ import annotations
@@ -289,8 +289,8 @@ def main(argv=None) -> int:
         "--min-fused-speedup",
         type=float,
         default=None,
-        help="fail unless smooth-field fused compress beats the reference "
-        "by this factor (acceptance bar: 5; CI gates conservatively)",
+        help="fail unless fused compress beats the reference by this "
+        "factor on every profile (CI gates conservatively)",
     )
     parser.add_argument(
         "--json-out",
@@ -373,17 +373,17 @@ def main(argv=None) -> int:
             required=args.min_speedup,
         )
         return 1
-    if (
-        args.min_fused_speedup is not None
-        and smooth["fused_compress_speedup"] < args.min_fused_speedup
-    ):
-        LOG.error(
-            "gate_failed",
-            metric="fused_compress_speedup",
-            value=smooth["fused_compress_speedup"],
-            required=args.min_fused_speedup,
-        )
-        return 1
+    if args.min_fused_speedup is not None:
+        for profile, (_, summary) in results.items():
+            if summary["fused_compress_speedup"] < args.min_fused_speedup:
+                LOG.error(
+                    "gate_failed",
+                    metric="fused_compress_speedup",
+                    profile=profile,
+                    value=summary["fused_compress_speedup"],
+                    required=args.min_fused_speedup,
+                )
+                return 1
     return 0
 
 

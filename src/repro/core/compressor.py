@@ -44,6 +44,7 @@ from repro.core.format import StreamHeader, make_header
 from repro.core.predictors import DEFAULT_PREDICTOR, Predictor, get_predictor
 from repro.core.quantize import (
     dequantize,
+    nonfinite_input_error,
     prequantize_verified,
     psnr_to_relative,
     relative_to_absolute,
@@ -314,6 +315,8 @@ class CereSZ:
             raise CompressionError("cannot compress an empty array")
         vmin = float(arr.min())
         vmax = float(arr.max())
+        if not (np.isfinite(vmin) and np.isfinite(vmax)):
+            raise nonfinite_input_error(arr)
         if vmax == vmin:
             return None  # constant field: stored exactly
         return relative_to_absolute(arr, rel)

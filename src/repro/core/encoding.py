@@ -23,12 +23,22 @@ block (f = 0) stores the header only — no signs, no payload — capping the
 best-case ratio at 32x for CereSZ and 128x for SZp (visible as the 31.99 /
 127.94 ceilings in the paper's Table 5).
 
-Everything is vectorized by grouping blocks with equal fixed length, so the
-encoder performs O(distinct fixed lengths) numpy passes rather than one per
-block. Decoding of a bare v1 stream must walk the headers sequentially
-(record sizes are data dependent) but unpacks payloads group-wise the same
-way. Indexed (container v2) streams ship the fixed lengths up front, so
-:func:`index_record_offsets` replaces the walk with one ``cumsum``.
+Two encoders emit the same bytes. :func:`encode_blocks` is the reference:
+it groups blocks by fixed length and transcribes the bit-shuffle as shift
+and mask over uint64 magnitudes, so it needs O(distinct fixed lengths)
+numpy passes rather than one per block. :func:`pack_records`, the fused
+path's core, shuffles machine words instead: lane *b* (bits 8b..8b+7) of 8
+consecutive magnitudes is one uint64, and the 8x8 bit-matrix transpose
+:func:`transpose8` turns it into the payload bytes of bit planes 8b..8b+7
+for that element group. It builds every record of a chunk in one pass
+whatever the fixed lengths, and zero blocks cost only their header.
+
+Decoding of a bare v1 stream must walk the headers sequentially (record
+sizes are data dependent) but unpacks payloads group-wise, one group per
+fixed length, through the same :func:`transpose8` (the transpose is its
+own inverse). Indexed (container v2) streams ship the fixed lengths up
+front, so :func:`index_record_offsets` replaces the walk with one
+``cumsum``.
 
 Group writes and reads move bytes column-by-column within a group (all
 records of a group share one length), so the transient state per group is
@@ -52,6 +62,16 @@ _MAX_FL = 63
 #: uint64 magnitude m >= 1, the number of table entries <= m is exactly
 #: ``m.bit_length()`` (and 0 for m == 0, since no power is <= 0).
 _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+#: ``(shift, mask)`` of the three swap steps of :func:`transpose8`.
+_TRANSPOSE8_STEPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in (
+        (7, 0x00AA00AA00AA00AA),
+        (14, 0x0000CCCC0000CCCC),
+        (28, 0x00000000F0F0F0F0),
+    )
+)
 
 
 def exact_bit_lengths(mags: np.ndarray) -> np.ndarray:
@@ -157,6 +177,27 @@ def index_record_offsets(
     return ends - sizes
 
 
+def transpose8(words: np.ndarray) -> np.ndarray:
+    """Transpose the 8x8 bit matrix held in each uint64 word, in place.
+
+    Byte ``j`` of a little-endian word is row ``j``, its bit ``i`` column
+    ``i``; afterwards bit ``i`` of byte ``j`` holds what was bit ``j`` of
+    byte ``i``. Three shift-and-mask swaps (Hacker's Delight
+    ``transpose8``) exchange 1x1, 2x2 and then 4x4 sub-blocks across the
+    diagonal. The transpose is its own inverse, so the encoder's shuffle
+    and the decoder's unshuffle are the same call. Returns ``words``.
+    """
+    t = np.empty_like(words)
+    for shift, mask in _TRANSPOSE8_STEPS:
+        np.right_shift(words, shift, out=t)
+        t ^= words
+        t &= mask
+        words ^= t
+        t <<= shift
+        words ^= t
+    return words
+
+
 def pack_records(
     mags: np.ndarray,
     negs: np.ndarray,
@@ -170,10 +211,9 @@ def pack_records(
     :func:`encode_blocks`, but the two deliberately do *not* share the
     bit-shuffle implementation: ``encode_blocks`` stays the readable
     shift-and-mask reference that serves as the independent oracle, while
-    this core routes the shuffle through uint8 byte lanes and
-    ``unpackbits``/``packbits`` (an order of magnitude less memory
-    traffic). The equivalence is enforced by the property suite in
-    ``tests/core/test_fastpath.py``.
+    this core shuffles whole machine words with :func:`transpose8`. The
+    equivalence is enforced by the property suites in
+    ``tests/core/test_encoding.py`` and ``tests/core/test_fastpath.py``.
 
     ``mags`` is the ``(num_blocks, L)`` uint64 magnitude array, ``negs``
     the matching sign mask (bool or uint8), ``fl`` the per-block fixed
@@ -193,64 +233,60 @@ def pack_records(
     if int(fl.min(initial=0)) < 0:
         raise FormatError("negative fixed length")
 
-    sizes = record_sizes(fl, block_size, header_bytes)
-    offsets = np.zeros(num_blocks + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    out = np.zeros(int(offsets[-1]), dtype=np.uint8)
-
-    # Headers (vectorized little-endian write).
-    for byte in range(header_bytes):
-        out[offsets[:-1] + byte] = (fl >> (8 * byte)).astype(np.uint8)
-
-    sign_bytes = block_size // 8
-
-    negs = np.ascontiguousarray(negs)
-    # Little-endian byte lanes of each magnitude: lane b of element j is
-    # bits 8b..8b+7 — the raw material of the bit-shuffle.
-    lanes = mags.astype("<u8", copy=False).view(np.uint8).reshape(
-        num_blocks, block_size, 8
+    groups = block_size // 8  # sign bytes, and bytes per bit plane
+    nlanes = (int(fl.max(initial=0)) + 7) // 8
+    # One row per block, wide enough for the longest record of the chunk:
+    # header, sign bytes, then 8 * nlanes bit planes of ``groups`` bytes.
+    width = header_bytes + groups + 8 * nlanes * groups
+    rows = np.empty((num_blocks, width), dtype=np.uint8)
+    rows[:, :header_bytes] = (
+        fl.astype("<u4").view(np.uint8).reshape(num_blocks, 4)[:, :header_bytes]
     )
 
-    # ``bincount`` beats ``unique`` here (no sort), and zero blocks — the
-    # majority on well-compressed fields — never touch the sign/payload
-    # machinery at all: their records are header-only.
-    present = np.nonzero(np.bincount(fl, minlength=_MAX_FL + 1))[0]
-    for f in present:
-        f = int(f)
-        if f == 0:
-            continue
-        idx = np.nonzero(fl == f)[0]
-        g = len(idx)
-        # Sign bytes for this group only (element j -> bit j%8 of sign
-        # byte j//8). Packing per group instead of once over every block
-        # skips the zero blocks entirely.
-        signs = np.packbits(
-            np.ascontiguousarray(negs[idx]).reshape(g, sign_bytes, 8),
-            axis=-1,
+    # Zero blocks -- the majority on well-compressed fields -- are
+    # header-only records: only nonzero blocks reach the shuffle.
+    nz = np.flatnonzero(fl)
+    k = int(nz.size)
+    if k:
+        # With no zero block (payload-heavy fields) the rows are filled in
+        # place, saving a gather of the inputs and a scatter of the rows.
+        every = k == num_blocks
+        body = rows if every else np.empty((k, width), dtype=np.uint8)
+        # Sign bytes: element j -> bit j%8 of sign byte j//8. Blocks are
+        # whole bytes of signs, so one flat pack covers every block.
+        body[:, header_bytes : header_bytes + groups] = np.packbits(
+            np.ascontiguousarray(negs if every else negs[nz]).reshape(-1),
             bitorder="little",
-        ).reshape(g, sign_bytes)
-        # Bit-shuffle: byte group k carries bit k of all elements (Fig 8).
-        # Unpack only the lanes that hold the low f bits, transpose so the
-        # bit-plane axis leads, and re-pack along elements — this moves
-        # ~f*L bits per block instead of the 64*f*L a shift-mask over
-        # uint64 magnitudes would stream.
-        nlanes = (f + 7) // 8
-        bits = np.unpackbits(
-            lanes[idx, :, :nlanes], axis=-1, bitorder="little"
-        )  # (g, L, nlanes*8): bit j of element, little-endian
-        planes = np.ascontiguousarray(bits.transpose(0, 2, 1)[:, :f, :])
-        payload = np.packbits(
-            planes.reshape(g, f, sign_bytes, 8), axis=-1, bitorder="little"
-        ).reshape(g, f * sign_bytes)
+        ).reshape(k, groups)
+        # Lane b of 8 consecutive magnitudes as one little-endian word:
+        # byte j holds bits 8b..8b+7 of element j of the group.
+        lanes = (
+            (mags if every else mags[nz])
+            .astype("<u8", copy=False)
+            .view(np.uint8)
+            .reshape(k, groups, 8, 8)
+        )
+        words = np.ascontiguousarray(
+            lanes[:, :, :, :nlanes].transpose(0, 3, 1, 2)
+        ).view("<u8")  # (k, nlanes, groups)
+        # After the transpose, byte i of a word is the Fig 8 payload byte
+        # of bit plane 8b+i for that element group; regroup plane-major.
+        planes = body[:, header_bytes + groups :].reshape(k, nlanes, 8, groups)
+        planes[...] = (
+            transpose8(words)
+            .view(np.uint8)
+            .reshape(k, nlanes, groups, 8)
+            .transpose(0, 1, 3, 2)
+        )
+        if not every:
+            rows[nz, header_bytes:] = body[:, header_bytes:]
 
-        body = np.concatenate([signs, payload], axis=1)
-        # Column-wise scatter: the loop is bounded by the record length
-        # (<= 256 iterations at block size 32), not the block count.
-        starts = offsets[idx] + header_bytes
-        for col in range(body.shape[1]):
-            out[starts + col] = body[:, col]
-
-    return out
+    # Each record is the leading ``record_sizes`` bytes of its row; one
+    # boolean-mask gather lays them out back to back.
+    sizes = record_sizes(fl, block_size, header_bytes)
+    col = np.min_scalar_type(width)
+    keep = np.arange(width, dtype=col) < sizes.astype(col)[:, None]
+    return rows[keep]
 
 
 def encode_blocks(
@@ -426,36 +462,37 @@ def decode_blocks(
         if f == 0:
             continue
         idx = np.nonzero(fls == f)[0]
+        g = len(idx)
+        nlanes = (f + 7) // 8
         body_len = sign_bytes + f * sign_bytes
         # Column-wise gather (see the module docstring): transient state is
         # one (g,) offset vector, not a (g, body_len) int64 index matrix.
+        # Bit planes past ``f`` stay zero, filling out the last lane.
         starts = offsets[idx] + header_bytes
-        body = np.empty((len(idx), body_len), dtype=np.uint8)
+        body = np.zeros((g, sign_bytes * (1 + 8 * nlanes)), dtype=np.uint8)
         for col in range(body_len):
             body[:, col] = buf[starts + col]
-        sign_part = body[:, :sign_bytes]
-        payload = body[:, sign_bytes:]
 
-        negs = np.unpackbits(sign_part, axis=-1, bitorder="little")
-        bits = np.unpackbits(
-            payload.reshape(len(idx), f, sign_bytes), axis=-1, bitorder="little"
-        ).reshape(len(idx), f, block_size)
-        # Reassemble magnitudes bytewise: OR each run of eight bit planes
-        # into one byte lane, then view the eight lanes per element as a
-        # little-endian uint64 — f uint8 passes and one widening instead
-        # of f int64 passes (or a (g, f, L) int64 tensor).
-        lanes = np.zeros((len(idx), block_size, 8), dtype=np.uint8)
-        for b in range((f + 7) // 8):
-            lo = 8 * b
-            acc = bits[:, lo, :].copy()
-            for k in range(lo + 1, min(lo + 8, f)):
-                acc |= bits[:, k, :] << np.uint8(k - lo)
-            lanes[:, :, b] = acc
-        mags = (
-            lanes.reshape(len(idx), block_size * 8)
-            .view(np.dtype("<u8"))
-            .astype(np.int64)
+        negs = np.unpackbits(
+            np.ascontiguousarray(body[:, :sign_bytes]).reshape(-1),
+            bitorder="little",
+        ).reshape(g, block_size)
+        # Unshuffle: the word of bit planes 8b..8b+7 of one element group
+        # transposes back into lane b of its 8 magnitudes (Fig 8 in
+        # reverse), which widen to int64 as little-endian uint64 views.
+        words = np.ascontiguousarray(
+            body[:, sign_bytes:]
+            .reshape(g, nlanes, 8, sign_bytes)
+            .transpose(0, 1, 3, 2)
+        ).view("<u8")  # (g, nlanes, groups)
+        lanes = np.zeros((g, sign_bytes, 8, 8), dtype=np.uint8)
+        lanes[:, :, :, :nlanes] = (
+            transpose8(words)
+            .view(np.uint8)
+            .reshape(g, nlanes, sign_bytes, 8)
+            .transpose(0, 2, 3, 1)
         )
+        mags = lanes.reshape(g, block_size * 8).view("<u8").astype(np.int64)
         np.negative(mags, out=mags, where=negs.view(bool))
         out[idx] = mags
 

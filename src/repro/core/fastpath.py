@@ -14,10 +14,11 @@ preallocated scratch buffers that are reused for all chunks, so after the
 single global min/max scan the input is read exactly once and nothing
 full-size is ever materialized. There are no per-block Python loops — the
 only Python-level loop is over chunks, and each iteration is a fixed
-number of vectorized NumPy calls. The bit-shuffle itself runs through
-uint8 byte lanes and ``unpackbits``/``packbits``
-(:func:`repro.core.encoding.pack_records`) instead of shift-and-mask over
-uint64 — about an eighth of the memory traffic per payload bit.
+number of vectorized NumPy calls. The bit-shuffle itself
+(:func:`repro.core.encoding.pack_records`) transposes 8x8 bit matrices
+held in uint64 words — one word per byte lane of 8 magnitudes — instead
+of shift-and-mask over every payload bit, and skips zero blocks, whose
+records are header-only.
 
 **Oracle contract.** The fused kernels are *not* a relaxation of the
 format. Per element they execute the identical float64 operation chain
@@ -45,7 +46,8 @@ scratch, and scatter into the output field. Zero blocks cost nothing and
 the reference's full ``(num_blocks, L)`` int64 residual array is never
 allocated. Record payloads are read by the same
 :func:`repro.core.encoding.decode_blocks` gather the reference uses,
-chunk by chunk into one reused scratch buffer (``out=``).
+chunk by chunk into one reused scratch buffer (``out=``); its unshuffle
+is the encoder's word transpose run in reverse.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from repro.core.encoding import (
 from repro.core.quantize import (
     MAX_QUANT_BITS,
     effective_bound_from_peak,
+    nonfinite_input_error,
     validate_error_bound,
 )
 
@@ -163,17 +166,15 @@ def fused_compress_blocks(
     if n == 0:
         raise CompressionError("cannot compress an empty array")
 
-    # Peak magnitude via min/max reductions: no |data| temporary, and any
-    # non-finite element propagates into ``peak``, which then surfaces as
-    # the same ErrorBoundError the reference raises (a non-finite peak
-    # makes the derived effective bound non-finite).
+    # Peak magnitude via min/max reductions: no |data| temporary. NaN
+    # propagates through both and +-Inf lands in one, so only input that
+    # already failed here pays for locating its non-finite values.
     fmin = float(flat.min())
     fmax = float(flat.max())
-    peak = max(abs(fmin), abs(fmax))
-    if np.isnan(fmin) or np.isnan(fmax):
-        peak = float("nan")
+    if not (np.isfinite(fmin) and np.isfinite(fmax)):
+        raise nonfinite_input_error(flat)
     eps_eff = validate_error_bound(
-        effective_bound_from_peak(peak, eps, out_dtype)
+        effective_bound_from_peak(max(abs(fmin), abs(fmax)), eps, out_dtype)
     )
 
     two_eps = 2.0 * eps_eff

@@ -59,10 +59,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.quantize import nonfinite_input_error
 from repro.errors import (
     CompressionError,
     ContainerError,
     FormatError,
+    NonFiniteInputError,
     WorkerError,
 )
 
@@ -497,7 +499,11 @@ def compress_sharded(
                 checksum=checksum, crc_group=crc_group,
             )
 
-        results = _run_pool(_one, bounds, jobs)
+        try:
+            results = _run_pool(_one, bounds, jobs)
+        except NonFiniteInputError:
+            # A shard counts and indexes its own slice; report the field.
+            raise nonfinite_input_error(flat) from None
 
     from repro.core.compressor import CompressionResult
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import CompressionError, ErrorBoundError
+from repro.errors import CompressionError, ErrorBoundError, NonFiniteInputError
 
 #: Quantized magnitudes at or above 2**MAX_QUANT_BITS are rejected: they
 #: cannot arise from a sane (eps, data) pairing and would lose exactness in
@@ -34,6 +34,21 @@ def validate_error_bound(eps: float) -> float:
     if not np.isfinite(eps) or eps <= 0.0:
         raise ErrorBoundError(f"error bound must be finite and > 0, got {eps}")
     return eps
+
+
+def nonfinite_input_error(data: np.ndarray) -> NonFiniteInputError:
+    """The error for input holding NaN or +-Inf, naming count and position.
+
+    Callers build it only after a reduction they already run (a peak,
+    min or max) came out non-finite, so finite input never pays for the
+    extra scan.
+    """
+    bad = ~np.isfinite(np.asarray(data).reshape(-1))
+    return NonFiniteInputError(
+        f"input holds {int(np.count_nonzero(bad))} non-finite value(s) "
+        f"(NaN or Inf), the first at flat index {int(np.argmax(bad))}; "
+        "no error bound can hold for them"
+    )
 
 
 def prequantize(data: np.ndarray, eps: float) -> np.ndarray:
@@ -83,13 +98,17 @@ def effective_error_bound(
 
     Raises :class:`ErrorBoundError` when ``eps`` is at or below the float32
     resolution at the data's magnitude — no compressor emitting float32 can
-    honor such a bound.
+    honor such a bound — and its :class:`NonFiniteInputError` subclass when
+    the data holds NaN or +-Inf.
     """
     eps = validate_error_bound(eps)
     arr = np.asarray(data, dtype=np.float64)
     if arr.size == 0:
         return eps
-    return effective_bound_from_peak(float(np.max(np.abs(arr))), eps, dtype)
+    peak = float(np.max(np.abs(arr)))
+    if not np.isfinite(peak):
+        raise nonfinite_input_error(arr)
+    return effective_bound_from_peak(peak, eps, dtype)
 
 
 def effective_bound_from_peak(
@@ -189,7 +208,11 @@ def relative_to_absolute(data: np.ndarray, rel: float) -> float:
     # max/min commute with the (monotonic) cast to float64, so reducing on
     # the native dtype gives the same vrange bit-for-bit without copying
     # the whole array to float64 first.
-    vrange = float(np.float64(np.max(arr)) - np.float64(np.min(arr)))
+    vmax = np.float64(np.max(arr))
+    vmin = np.float64(np.min(arr))
+    if not (np.isfinite(vmax) and np.isfinite(vmin)):
+        raise nonfinite_input_error(arr)
+    vrange = float(vmax - vmin)
     if vrange == 0.0:
         raise ErrorBoundError(
             "data has zero value range; REL bound undefined (constant field)"

@@ -111,6 +111,10 @@ class ErrorBoundError(ReproError):
     """An invalid error bound was supplied (non-positive or non-finite)."""
 
 
+class NonFiniteInputError(ErrorBoundError):
+    """The input holds NaN or +-Inf, for which no error bound can hold."""
+
+
 class LedgerError(ReproError):
     """A run-ledger file is malformed or from an incompatible schema."""
 

@@ -17,6 +17,7 @@ from repro.core.encoding import (
     pack_records,
     record_sizes,
     scan_record_offsets,
+    transpose8,
     unpack_block_index,
 )
 
@@ -278,6 +279,92 @@ class TestPackRecords:
                 np.zeros((1, 8), dtype=bool),
                 np.array([64], dtype=np.int64),
             )
+
+
+class TestWordShuffleKernel:
+    """``pack_records`` and ``decode_blocks`` share the uint64 8x8 bit
+    transpose; hold both against the shift-and-mask ``encode_blocks``
+    oracle at every lane edge, block size and header width."""
+
+    LANE_EDGE_FLS = (0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 56, 63)
+
+    @staticmethod
+    def _blocks(rng, fls, L):
+        """Residual blocks whose fixed lengths are exactly ``fls``."""
+        out = np.zeros((len(fls), L), dtype=np.int64)
+        for i, f in enumerate(fls):
+            if f:
+                mags = rng.integers(0, 2 ** (f - 1), size=L, dtype=np.uint64)
+                mags[rng.integers(L)] |= np.uint64(1 << (f - 1))
+                signs = rng.choice(np.array([-1, 1]), size=L)
+                out[i] = mags.astype(np.int64) * signs
+        return out
+
+    def _check(self, residuals, header):
+        num_blocks, L = residuals.shape
+        fl = block_fixed_lengths(residuals)
+        packed = pack_records(
+            np.abs(residuals).view(np.uint64), residuals < 0, fl, header
+        )
+        stream = encode_blocks(residuals, header)
+        assert packed.tobytes() == stream
+        out = decode_blocks(stream, num_blocks, L, header)
+        assert np.array_equal(out, residuals)
+
+    @pytest.mark.parametrize("L", [8, 16, 24, 32, 64, 256])
+    @pytest.mark.parametrize("header", [SZP_HEADER_BYTES, CERESZ_HEADER_BYTES])
+    def test_lane_edges(self, L, header):
+        rng = np.random.default_rng(L * 10 + header)
+        fls = self.LANE_EDGE_FLS
+        residuals = self._blocks(rng, fls, L)
+        assert block_fixed_lengths(residuals).tolist() == list(fls)
+        self._check(residuals, header)
+        # Each fixed length alone: one lane count per call.
+        for f in fls:
+            self._check(self._blocks(rng, [f, f, 0], L), header)
+
+    @pytest.mark.parametrize("L", [8, 32, 256])
+    @pytest.mark.parametrize("header", [SZP_HEADER_BYTES, CERESZ_HEADER_BYTES])
+    def test_mostly_zero_chunk(self, L, header):
+        """97 % zero blocks, the smooth-field regime: the zero-block skip
+        must still interleave every header-only record in order."""
+        rng = np.random.default_rng(L + header)
+        fls = np.zeros(400, dtype=np.int64)
+        live = rng.choice(400, size=12, replace=False)
+        fls[live] = rng.choice(self.LANE_EDGE_FLS[1:], size=12)
+        self._check(self._blocks(rng, fls.tolist(), L), header)
+
+    @pytest.mark.parametrize("header", [SZP_HEADER_BYTES, CERESZ_HEADER_BYTES])
+    def test_all_zero_and_empty(self, header):
+        self._check(np.zeros((5, 32), dtype=np.int64), header)
+        empty = pack_records(
+            np.zeros((0, 32), dtype=np.uint64),
+            np.zeros((0, 32), dtype=bool),
+            np.zeros(0, dtype=np.int64),
+            header,
+        )
+        assert empty.size == 0
+        assert encode_blocks(np.zeros((0, 32), dtype=np.int64), header) == b""
+        assert decode_blocks(b"", 0, 32, header).shape == (0, 32)
+
+    @given(
+        L=st.sampled_from([8, 16, 24, 32, 64, 256]),
+        header=st.sampled_from([SZP_HEADER_BYTES, CERESZ_HEADER_BYTES]),
+        fls=st.lists(st.integers(0, 63), min_size=1, max_size=12),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_lengths_property(self, L, header, fls, seed):
+        self._check(self._blocks(np.random.default_rng(seed), fls, L), header)
+
+    def test_transpose8_is_an_involution(self):
+        rng = np.random.default_rng(3)
+        words = rng.integers(0, 2**63, size=64, dtype=np.uint64)
+        back = transpose8(transpose8(words.copy()))
+        assert np.array_equal(back, words)
+        # Bit i of byte j moves to bit j of byte i.
+        one = np.array([1 << (8 * 2 + 5)], dtype=np.uint64)
+        assert int(transpose8(one)[0]) == 1 << (8 * 5 + 2)
 
 
 class TestBlockIndex:

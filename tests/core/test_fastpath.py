@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CompressionError, ErrorBoundError
+from repro.errors import CompressionError, ErrorBoundError, NonFiniteInputError
 from repro.core.compressor import CereSZ
 from repro.core.parallel import compress_sharded
 
@@ -161,6 +161,31 @@ class TestFusedErrorParity:
         for codec in (REF, FUS):
             with pytest.raises(ErrorBoundError):
                 codec.compress(data, eps=1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "bound", [{"eps": 1e-12}, {"eps": 1e-3}, {"rel": 1e-3}]
+    )
+    def test_nonfinite_error_names_the_input(self, bad, bound):
+        """The error blames the data, not the bound: it counts the
+        non-finite values and gives the first flat index, on both paths,
+        even when the bound is also too tight for the data."""
+        data = _field(1 << 12, np.float32, seed=8).reshape(64, 64)
+        data[40, 7] = bad
+        data[50, 0] = bad
+        for codec in (REF, FUS):
+            with pytest.raises(NonFiniteInputError) as err:
+                codec.compress(data, **bound)
+            assert "2 non-finite" in str(err.value)
+            assert "flat index 2567" in str(err.value)
+
+    def test_nonfinite_error_indexes_the_field_when_sharded(self):
+        data = _field(1 << 12, np.float32, seed=8)
+        data[2567] = np.nan
+        with pytest.raises(NonFiniteInputError, match="flat index 2567"):
+            compress_sharded(
+                data, eps=1e-3, codec=FUS, jobs=2, shard_elements=1024
+            )
 
     def test_quantizer_overflow_both_paths(self):
         # M/(2*eps) just over 2**50: overflow guard, not the bound check.
