@@ -4,9 +4,10 @@ Two acceptance stories share this benchmark:
 
 * **Container v2 index** (decode side). Container v1 forces the decoder
   to *walk* every block header sequentially (record sizes are
-  data-dependent) — a per-block Python loop that dominates decode for
-  well-compressed streams. Container v2 embeds a one-byte-per-block fl
-  table so every record offset falls out of a single ``cumsum``.
+  data-dependent): one ``memoryview`` word read and one table lookup per
+  block, which still weighs on well-compressed streams, where payloads
+  are tiny. Container v2 embeds a one-byte-per-block fl table so every
+  record offset falls out of a single ``cumsum``.
 * **Fused host kernels** (both sides). The reference pipeline runs the
   paper's stages as separate whole-field passes; the fused path
   (:mod:`repro.core.fastpath`) runs the same arithmetic in one blocked
@@ -245,7 +246,7 @@ def render(results: dict, n: int, jobs: int) -> str:
         ]
     lines += [
         "",
-        "(serial-v1 pays a per-block Python header walk; indexed-v2 is",
+        "(serial-v1 pays a per-block header walk; indexed-v2 is",
         " the reference multi-stage pipeline on a v2 container; fused is",
         " the single-pass kernel of repro/core/fastpath.py — its streams",
         " are asserted byte-identical to indexed-v2 on every run;",

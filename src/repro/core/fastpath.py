@@ -45,9 +45,9 @@ records with a nonzero fixed length, prefix-sum and dequantize in
 scratch, and scatter into the output field. Zero blocks cost nothing and
 the reference's full ``(num_blocks, L)`` int64 residual array is never
 allocated. Record payloads are read by the same
-:func:`repro.core.encoding.decode_blocks` gather the reference uses,
-chunk by chunk into one reused scratch buffer (``out=``); its unshuffle
-is the encoder's word transpose run in reverse.
+:func:`repro.core.encoding.decode_blocks` the reference uses, one call
+(one gather, one word transpose) per chunk into one reused scratch buffer
+(``out=``); its unshuffle is the encoder's word transpose run in reverse.
 """
 
 from __future__ import annotations

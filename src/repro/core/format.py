@@ -24,11 +24,16 @@ as a single f64 and the flag short-circuits both directions.
 Version 2 ("indexed") streams additionally carry a packed table of every
 block's fixed length right after the global header. Record sizes are a pure
 function of the fixed length, so the table turns the otherwise sequential
-offset scan into one vectorized ``cumsum`` — decoding becomes
-embarrassingly parallel, the same trick cuSZ/cuSZp play with partition
-metadata. The per-block records themselves are byte-identical to v1 (each
-still carries its own header), so a v2 payload remains scannable by a v1
-record walker and random access never needs the table to be trusted.
+offset scan into one vectorized ``cumsum``, the same trick cuSZ/cuSZp play
+with partition metadata. On the host that is no longer much of a speed
+argument: the v1 walk costs one native word read per block (~16 ms for
+131,072 blocks on a 2-vCPU Xeon, against ~1 ms for the ``cumsum``). What
+the table still buys is layout without reading the records: every offset
+is known even when an earlier record header is corrupt, which is what the
+v3 CRC groups and group-exact salvage build on. It costs one byte per
+block of ratio. The per-block records themselves are byte-identical to v1
+(each still carries its own header), so a v2 payload remains scannable by
+a v1 record walker and random access never needs the table to be trusted.
 """
 
 from __future__ import annotations

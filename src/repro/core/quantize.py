@@ -124,12 +124,30 @@ def effective_bound_from_peak(
     # The 1e-6 headroom keeps the ulp estimate valid even when the cast of
     # ``peak`` itself rounds down across a binade boundary.
     peak = (float(peak_abs) + eps) * (1.0 + 1e-6)
-    margin = 0.5 * float(np.spacing(np.asarray(peak, dtype=dtype)))
+    with np.errstate(over="ignore"):
+        top = np.asarray(peak, dtype=dtype)
+    if np.isinf(top):
+        # Past the largest finite value: its ulp is the widest there is.
+        top = np.nextafter(np.finfo(dtype).max, 0, dtype=dtype)
+    margin = 0.5 * float(np.spacing(top))
     eps_eff = eps - margin
     if eps_eff <= 0:
         raise ErrorBoundError(
             f"error bound {eps:g} is below the {np.dtype(dtype).name} "
             f"resolution ({2 * margin:g}) at magnitude {peak:g}"
+        )
+    # The extreme codes dequantize to the extreme decoded values; if one
+    # does not fit the output dtype it would decode to inf.
+    two_eps = 2.0 * eps_eff
+    extreme = two_eps * max(
+        float(np.floor(float(peak_abs) / two_eps + 0.5)),
+        -float(np.floor(-float(peak_abs) / two_eps + 0.5)),
+    )
+    if extreme > float(np.finfo(dtype).max):
+        raise ErrorBoundError(
+            f"values up to {float(peak_abs):g} with error bound {eps:g} "
+            f"can decode to {extreme:g}, past the largest "
+            f"{np.dtype(dtype).name} ({float(np.finfo(dtype).max):g})"
         )
     return eps_eff
 
@@ -212,9 +230,19 @@ def relative_to_absolute(data: np.ndarray, rel: float) -> float:
     vmin = np.float64(np.min(arr))
     if not (np.isfinite(vmax) and np.isfinite(vmin)):
         raise nonfinite_input_error(arr)
-    vrange = float(vmax - vmin)
+    with np.errstate(over="ignore"):
+        vrange = float(vmax - vmin)
     if vrange == 0.0:
         raise ErrorBoundError(
             "data has zero value range; REL bound undefined (constant field)"
         )
+    if np.isinf(vrange):
+        # The range itself overflows float64; the bound it implies may not.
+        eps = rel * float(vmax) - rel * float(vmin)
+        if not np.isfinite(eps):
+            raise ErrorBoundError(
+                f"REL {rel:g} of the value range [{float(vmin):g}, "
+                f"{float(vmax):g}] exceeds the float64 range"
+            )
+        return eps
     return rel * vrange

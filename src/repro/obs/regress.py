@@ -217,6 +217,12 @@ def _headline_host_throughput(payload: dict) -> dict:
                 out[f"{profile}.{key}"] = float(summary[key])
         for case in summary.get("cases", []):
             out[f"{profile}.{case['name']}.ratio"] = float(case["ratio"])
+            # The container the default compress() writes: guard its
+            # decode throughput directly, not only relative to v2.
+            if case["name"] == "serial-v1" and "decompress_mbs" in case:
+                out[f"{profile}.serial-v1.decompress_mbs"] = float(
+                    case["decompress_mbs"]
+                )
     return out
 
 

@@ -445,3 +445,227 @@ class TestBlockIndex:
         offsets = index_record_offsets(fls, 32) + len(stream)
         with pytest.raises(FormatError, match="outside"):
             decode_blocks(stream, len(fls), 32, offsets=offsets, fls=fls)
+
+
+def _scan_oracle(stream, num_blocks, block_size, header_bytes, start):
+    """The scalar header walk ``scan_record_offsets`` replaced: one NumPy
+    scalar read per header byte. Kept as the walk's oracle."""
+    buf = np.frombuffer(stream, dtype=np.uint8)
+    if num_blocks * header_bytes > max(0, buf.size - start):
+        raise FormatError(
+            f"stream of {buf.size} bytes cannot hold {num_blocks} block "
+            f"records"
+        )
+    sign_bytes = block_size // 8
+    offsets = np.empty(num_blocks, dtype=np.int64)
+    fls = np.empty(num_blocks, dtype=np.int64)
+    pos = start
+    n = buf.size
+    for i in range(num_blocks):
+        if pos + header_bytes > n:
+            raise FormatError(
+                f"stream truncated in header of block {i} "
+                f"(offset {pos}, stream {n} bytes)"
+            )
+        f = 0
+        for byte in range(header_bytes):
+            f |= int(buf[pos + byte]) << (8 * byte)
+        if f > 63:
+            raise FormatError(f"block {i}: invalid fixed length {f}")
+        offsets[i] = pos
+        fls[i] = f
+        pos += header_bytes
+        if f:
+            pos += sign_bytes + f * sign_bytes
+    if pos > n:
+        raise FormatError(
+            f"stream truncated in payload of final block (need {pos}, have {n})"
+        )
+    return offsets, fls
+
+
+def _outcome(fn, *args):
+    """``("ok", offsets, fls)`` or ``("error", message)``."""
+    try:
+        offsets, fls = fn(*args)
+    except FormatError as exc:
+        return ("error", str(exc))
+    return ("ok", offsets.dtype, offsets.tolist(), fls.dtype, fls.tolist())
+
+
+class TestRecordWalkOracle:
+    """``scan_record_offsets`` against the scalar walk it replaced: the
+    same offsets and fixed lengths on every layout, and the same
+    ``FormatError`` message (block index included) on every truncation
+    and every bad header."""
+
+    @staticmethod
+    def _stream(fls, L, header, start, seed=0):
+        """``start`` junk bytes, then records with fixed lengths ``fls``.
+
+        Headers and sizes are all the walk reads, so the payload bytes are
+        random rather than a real encoding."""
+        rng = np.random.default_rng(seed)
+        parts = [rng.integers(0, 256, size=start, dtype=np.uint8).tobytes()]
+        for f in fls:
+            parts.append(int(f).to_bytes(header, "little"))
+            if f:
+                body = (1 + f) * (L // 8)
+                parts.append(rng.integers(0, 256, size=body, dtype=np.uint8).tobytes())
+        return b"".join(parts)
+
+    def _same(self, stream, nb, L, header, start):
+        want = _outcome(_scan_oracle, stream, nb, L, header, start)
+        got = _outcome(scan_record_offsets, stream, nb, L, header, start)
+        assert got == want
+        return want
+
+    @given(
+        fls=st.lists(st.integers(0, 63), max_size=24),
+        L=st.sampled_from([8, 16, 24, 32, 64, 256]),
+        header=st.sampled_from([SZP_HEADER_BYTES, CERESZ_HEADER_BYTES]),
+        start=st.integers(0, 9),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_walk(self, fls, L, header, start, data):
+        stream = self._stream(fls, L, header, start)
+        nb = len(fls)
+        assert self._same(stream, nb, L, header, start)[0] == "ok"
+        offsets, _ = _scan_oracle(stream, nb, L, header, start)
+
+        # Truncations: inside every header, at and around every record
+        # boundary, and one drawn anywhere.
+        cuts = {data.draw(st.integers(0, len(stream)))}
+        for b in [*offsets.tolist(), len(stream)]:
+            cuts.update(range(b - 1, b + header + 1))
+        for cut in sorted(c for c in cuts if 0 <= c < len(stream)):
+            assert self._same(stream[:cut], nb, L, header, start)[0] == "error"
+        # One block too many reads past the end.
+        assert self._same(stream, nb + 1, L, header, start)[0] == "error"
+
+        if nb:
+            i = data.draw(st.integers(0, nb - 1))
+            bad = [64, 200] + ([2**24, 2**24 + 5, 2**32 - 1] if header == 4 else [])
+            for value in bad:
+                raw = bytearray(stream)
+                at = int(offsets[i])
+                raw[at : at + header] = value.to_bytes(header, "little")
+                got = self._same(bytes(raw), nb, L, header, start)
+                assert got == ("error", f"block {i}: invalid fixed length {value}")
+
+    @pytest.mark.parametrize("header", [SZP_HEADER_BYTES, CERESZ_HEADER_BYTES])
+    @pytest.mark.parametrize("L", [8, 32])
+    @pytest.mark.parametrize("start", [0, 3])
+    def test_every_truncation_length(self, header, L, start):
+        fls = [0, 5, 0, 0, 63, 1, 0, 9]
+        stream = self._stream(fls, L, header, start, seed=L + header)
+        for cut in range(len(stream) + 1):
+            self._same(stream[:cut], len(fls), L, header, start)
+
+    def test_empty_and_start_past_end(self):
+        for header in (SZP_HEADER_BYTES, CERESZ_HEADER_BYTES):
+            assert self._same(b"", 0, 32, header, 0)[0] == "ok"
+            assert self._same(b"\x00" * 3, 0, 32, header, 3)[0] == "ok"
+            assert self._same(b"\x00" * 3, 0, 32, header, 5)[0] == "error"
+
+    def test_word_walk_without_native_little_endian_words(self, monkeypatch):
+        """The big-endian branch reads the words through a byteswapping
+        NumPy copy instead of a native ``memoryview`` cast."""
+        from repro.core import encoding
+
+        fls = [0, 7, 63, 0, 1]
+        stream = self._stream(fls, 32, CERESZ_HEADER_BYTES, 3)
+        monkeypatch.setattr(encoding.sys, "byteorder", "big")
+        self._same(stream, len(fls), 32, 4, 3)
+        self._same(stream[:-5], len(fls), 32, 4, 3)
+
+    def test_accepts_arrays_and_views(self):
+        fls = [3, 0, 7]
+        stream = self._stream(fls, 32, CERESZ_HEADER_BYTES, 2)
+        want = _scan_oracle(stream, 3, 32, 4, 2)
+        for src in (np.frombuffer(stream, np.uint8), bytearray(stream), memoryview(stream)):
+            offsets, got = scan_record_offsets(src, 3, 32, 4, 2)
+            assert offsets.tolist() == want[0].tolist()
+            assert got.tolist() == want[1].tolist() == fls
+
+
+class TestOnePassDecode:
+    """``decode_blocks`` decodes every record of a call in one gather;
+    hold it against the ``encode_blocks`` input on mixed fixed lengths,
+    record subsets, reused output buffers and multi-pass calls."""
+
+    _blocks = staticmethod(TestWordShuffleKernel._blocks)
+
+    def _every_length(self, L, seed=0, reps=2):
+        rng = np.random.default_rng(seed)
+        fls = np.repeat(np.arange(64), reps)
+        rng.shuffle(fls)
+        return self._blocks(rng, fls.tolist(), L)
+
+    @pytest.mark.parametrize("L", [8, 16, 24, 32, 64, 256])
+    @pytest.mark.parametrize("header", [SZP_HEADER_BYTES, CERESZ_HEADER_BYTES])
+    def test_every_fixed_length_in_one_call(self, L, header):
+        residuals = self._every_length(L, seed=L + header)
+        stream = encode_blocks(residuals, header)
+        out = decode_blocks(stream, residuals.shape[0], L, header)
+        assert np.array_equal(out, residuals)
+
+    @pytest.mark.parametrize("header", [SZP_HEADER_BYTES, CERESZ_HEADER_BYTES])
+    def test_record_subsets(self, header):
+        residuals = self._every_length(32, seed=5)
+        residuals[::5] = 0
+        stream = encode_blocks(residuals, header)
+        nb = residuals.shape[0]
+        offsets, fls = scan_record_offsets(stream, nb, 32, header)
+        # Nonzero blocks only (the fused decoder), intact groups of 8
+        # (salvage), and arbitrary subsets.
+        groups = np.arange(nb) // 8
+        rng = np.random.default_rng(1)
+        subsets = [
+            np.flatnonzero(fls),
+            np.flatnonzero(np.isin(groups, [0, 3, 4, 11, 15])),
+            np.sort(rng.choice(nb, size=37, replace=False)),
+            np.array([nb - 1]),
+            # The widest record widens every row: the last record's row
+            # then runs past the end of the stream.
+            np.array([int(np.argmax(fls)), nb - 1]),
+            rng.permutation(nb)[:50],  # any order
+            np.array([6, 6, 2]),  # the same record twice
+        ]
+        for idx in subsets:
+            out = decode_blocks(
+                stream, idx.size, 32, header, offsets=offsets[idx], fls=fls[idx]
+            )
+            assert np.array_equal(out, residuals[idx])
+
+    def test_out_with_stale_contents(self):
+        residuals = self._every_length(32, seed=7)
+        residuals[1::3] = 0
+        stream = encode_blocks(residuals)
+        nb = residuals.shape[0]
+        offsets, fls = scan_record_offsets(stream, nb, 32)
+        stale = np.full((nb, 32), -12345, dtype=np.int64)
+        out = decode_blocks(stream, nb, 32, offsets=offsets, fls=fls, out=stale)
+        assert out is stale
+        assert np.array_equal(out, residuals)
+        # No zero block: the records decode straight into ``out``.
+        live = np.flatnonzero(fls)
+        stale = np.full((live.size, 32), 777, dtype=np.int64)
+        decode_blocks(
+            stream, live.size, 32, offsets=offsets[live], fls=fls[live], out=stale
+        )
+        assert np.array_equal(stale, residuals[live])
+
+    def test_calls_larger_than_one_pass(self, monkeypatch):
+        from repro.core import encoding
+
+        residuals = self._every_length(32, seed=9, reps=3)
+        residuals[::4] = 0
+        stream = encode_blocks(residuals)
+        want = decode_blocks(stream, residuals.shape[0], 32)
+        # 5 blocks per pass: the pass edges fall everywhere in the call.
+        monkeypatch.setattr(encoding, "_DECODE_SLAB_ELEMS", 5 * 32)
+        got = decode_blocks(stream, residuals.shape[0], 32)
+        assert np.array_equal(want, residuals)
+        assert np.array_equal(got, residuals)

@@ -224,3 +224,29 @@ class TestFusedDecodeDispatch:
         out = FUS.decompress(stream)
         assert out.shape == (32, 32)
         assert out.tobytes() == REF.decompress(stream).tobytes()
+
+
+class TestFusedDecodeChunks:
+    """The fused decoder calls ``decode_blocks`` once per chunk on the
+    chunk's nonzero records; tiny chunks put chunk edges everywhere."""
+
+    @pytest.mark.parametrize("chunk_elems", [32, 96, 160, 1000])
+    @pytest.mark.parametrize("index", [False, True])
+    def test_tiny_chunks_match_reference(self, chunk_elems, index):
+        from repro.core.compressor import stream_block_layout
+        from repro.core.fastpath import fused_decompress_blocks
+        from repro.core.format import StreamHeader
+
+        rng = np.random.default_rng(chunk_elems)
+        data = _field(5000, np.float32, seed=21)
+        data[rng.integers(0, 5000, size=40)] += 1e4  # wide blocks: fl up to ~24
+        data[1000:2500] = 0.0  # a run of zero blocks across chunk edges
+        stream = _assert_pair(data, eps=1e-2, index=index)
+        header, offset = StreamHeader.unpack(stream)
+        offsets, fls = stream_block_layout(stream, header, offset)
+        assert 0 < np.count_nonzero(fls) < fls.size
+        values = fused_decompress_blocks(
+            stream, header, offsets, fls, chunk_elems=chunk_elems
+        )
+        ref = REF.decompress(stream, fast=False)
+        assert values.tobytes() == ref.reshape(-1).tobytes()

@@ -90,6 +90,27 @@ class TestHeadlineAdapters:
         vals = headline_values(payload)
         assert vals["smooth.v2_over_v1_decode_speedup"] == 3.5
         assert vals["smooth.rtm_small.ratio"] == 25.0
+        assert not any(k.endswith("decompress_mbs") for k in vals)
+
+    def test_host_throughput_guards_default_decode(self):
+        payload = {
+            "benchmark": "host_throughput",
+            "profiles": {
+                "smooth": {
+                    "cases": [
+                        {"name": "serial-v1", "ratio": 26.5,
+                         "decompress_mbs": 520.0},
+                        {"name": "fused", "ratio": 22.0,
+                         "decompress_mbs": 1100.0},
+                    ],
+                }
+            },
+        }
+        vals = headline_values(payload)
+        assert vals["smooth.serial-v1.decompress_mbs"] == 520.0
+        assert "smooth.fused.decompress_mbs" not in vals
+        policy = metric_policy("smooth.serial-v1.decompress_mbs")
+        assert (policy.direction, policy.kind) == ("higher", "timing")
 
     def test_sim_speed(self):
         payload = {
