@@ -25,6 +25,10 @@ Two field profiles bracket the operating range:
   records, the unfavourable case for both optimizations (they still
   win, just less).
 
+A ``serial-v3`` case times the checksummed container
+(``compress(checksum=True)`` on the default codec), whose extra cost is
+the CRC32C of every record group on write and on read.
+
 Run as a script (not under pytest-benchmark — the point is relative
 wall-clock of whole pipelines, best-of-N):
 
@@ -163,9 +167,11 @@ def run_profile(
             }
         )
 
-    # Standalone cases: the container-v1 baseline and the sharded engine.
+    # Standalone cases: the container-v1 baseline, the checksummed v3
+    # container and the sharded engine.
     for name, codec, ckw, dkw in (
         ("serial-v1", reference, {"index": False}, {}),
+        ("serial-v3", fused, {"checksum": True}, {}),
         ("fused-sharded", fused, {"jobs": jobs}, {"jobs": jobs}),
     ):
         t_c, result = best_of(repeats, codec.compress, field, rel=REL, **ckw)
@@ -246,7 +252,8 @@ def render(results: dict, n: int, jobs: int) -> str:
         ]
     lines += [
         "",
-        "(serial-v1 pays a per-block header walk; indexed-v2 is",
+        "(serial-v1 pays a per-block header walk; serial-v3 adds CRC32C",
+        " group checksums to the fused codec's indexed stream; indexed-v2 is",
         " the reference multi-stage pipeline on a v2 container; fused is",
         " the single-pass kernel of repro/core/fastpath.py — its streams",
         " are asserted byte-identical to indexed-v2 on every run;",

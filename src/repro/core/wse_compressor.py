@@ -77,6 +77,23 @@ class WSECompressionResult:
         return self.report.makespan_cycles
 
 
+def _float32_input(data) -> np.ndarray:
+    """``data`` as an array, rejected unless it is float32.
+
+    The wafer kernels run on the CS-2's float32 datapath and write an
+    ``f4`` container, so a float64 field would come back as float32 and
+    its stream could not match the host codec's ``f8`` stream.
+    """
+    arr = np.asarray(data)
+    if arr.dtype != np.float32:
+        raise CompressionError(
+            f"the wafer datapath is float32, got {arr.dtype} input; cast "
+            f"it with .astype(np.float32), or compress it on the host "
+            f"with CereSZ, which keeps float64"
+        )
+    return arr
+
+
 class WSECereSZ:
     """CereSZ running on the discrete-event wafer simulator."""
 
@@ -278,7 +295,7 @@ class WSECereSZ:
         the reference compressor run on the tiled field
         ``np.tile(row_values, rows)``.
         """
-        arr = np.asarray(data)
+        arr = _float32_input(data)
         if tile_rows:
             return self._compress_tiled(arr, eps, rel)
         bound = self._reference.resolve_error_bound(arr, eps, rel)
@@ -639,7 +656,7 @@ class WSECereSZ:
         placement, color budget, and SRAM footprint before committing to a
         run (the ``ceresz plan`` subcommand).
         """
-        arr = np.asarray(data)
+        arr = _float32_input(data)
         bound = self._reference.resolve_error_bound(arr, eps, rel)
         if bound is None:
             raise CompressionError(

@@ -1,18 +1,34 @@
-"""Pure-NumPy CRC32C (Castagnoli) with vectorized many-region support.
+"""Pure-NumPy CRC32C (Castagnoli) with a loop-free many-region kernel.
 
 The container integrity layer checksums two very different shapes of data:
 one large contiguous header blob, and *many* small variable-length record
-groups inside a single stream buffer. A Python byte loop is fine for the
-first and hopeless for the second, so this module provides
+groups inside a single stream buffer. Both go through one kernel, with no
+Python loop over bytes or byte columns:
 
-- :func:`crc32c` — single buffer, table-driven; large buffers are folded
-  strip-parallel with a GF(2) shift operator so the Python-level loop runs
-  over strip length, not buffer length;
 - :func:`crc32c_many` — one CRC per (start, length) region of a shared
-  buffer, processed column-wise across all regions at once (the same
-  gather idiom :mod:`repro.core.encoding` uses to decode blocks);
+  buffer;
+- :func:`crc32c` — the one-region call of the same kernel;
 - :func:`crc32c_combine` — concatenate two CRCs without touching bytes
   (the zlib ``crc32_combine`` construction, Castagnoli polynomial).
+
+The kernel rests on CRC being linear over GF(2). With ``A`` the operator
+that advances a register across one zero byte, a region ``b_0 .. b_{n-1}``
+read from register ``reg`` ends in ``A^n(reg) ^ XOR_i A^{d_i}(T[b_i])``,
+where ``d_i = n - 1 - i`` counts the bytes after ``b_i``. Splitting
+``d = q*256 + r``:
+
+1. one gather from the 256x256 table ``S[r, b] = A^r(T[b])`` gives every
+   byte's term up to a factor ``A^{256 q}``;
+2. one ``bitwise_xor.reduceat`` folds each (region, q) run of <= 256
+   bytes;
+3. each run is advanced by ``A^{256 q}`` and each init register by
+   ``A^n``, using binary powers ``A^{2^k}`` applied as four byte-lookup
+   tables each;
+4. a second ``reduceat`` folds the runs of each region.
+
+Regions that tile a contiguous span (fl-table slices, group bodies) are
+read as one slice; other region sets are gathered. Bytes are processed in
+slabs of :data:`_SLAB` so the transient index and term arrays stay small.
 
 CRC32C (not zlib's CRC32) is the checksum used by iSCSI/ext4/leveldb and
 the cuSZ-adjacent GPU codecs; reflected polynomial ``0x82F63B78``, init and
@@ -21,161 +37,180 @@ final XOR ``0xFFFFFFFF``. Test vector: ``crc32c(b"123456789") == 0xE3069283``.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 _POLY = 0x82F63B78
+_MASK = np.uint32(0xFFFFFFFF)
+
+#: Bytes per kernel pass; bounds the transient arrays (about 15 bytes of
+#: scratch per input byte) whatever the size of the buffer.
+_SLAB = 1 << 18
 
 
 def _build_table() -> np.ndarray:
-    table = np.zeros(256, dtype=np.uint32)
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            crc = (crc >> 1) ^ (_POLY if crc & 1 else 0)
-        table[i] = crc
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = (table >> np.uint32(1)) ^ (
+            np.uint32(_POLY) * (table & np.uint32(1))
+        )
     return table
 
 
 _TABLE = _build_table()
+#: Position of each slab byte mod 256, for the per-byte shift r.
+_RAMP = np.tile(np.arange(256, dtype=np.uint8), _SLAB // 256)
 
 
-# -- GF(2) zero-advance operators (zlib crc32_combine construction) --------
+# -- GF(2) zero-advance operators --------------------------------------------
 #
-# A 32x32 GF(2) matrix is stored as 32 uint32 columns: mat[i] is the image
-# of basis vector 1<<i. All operators are powers of the one-bit shift, so
-# they commute and composition order is irrelevant.
+# A linear operator on 32-bit registers is stored as a (4, 256) uint32
+# table: op[j, v] is the image of v << 8j, so applying it costs four byte
+# lookups. _POWERS[k] advances a register across 2^k zero bytes; all
+# operators are powers of A, so they commute.
 
-def _gf2_times(mat, vec: int) -> int:
-    total = 0
-    i = 0
-    while vec:
-        if vec & 1:
-            total ^= int(mat[i])
-        vec >>= 1
-        i += 1
-    return total
-
-
-def _gf2_square(mat):
-    return [_gf2_times(mat, int(mat[i])) for i in range(32)]
+def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (
+        op[0][x & np.uint32(0xFF)]
+        ^ op[1][(x >> np.uint32(8)) & np.uint32(0xFF)]
+        ^ op[2][(x >> np.uint32(16)) & np.uint32(0xFF)]
+        ^ op[3][x >> np.uint32(24)]
+    )
 
 
-def _one_byte_operator():
-    odd = [0] * 32
-    odd[0] = _POLY  # operator for one zero bit
-    row = 1
-    for i in range(1, 32):
-        odd[i] = row
-        row <<= 1
-    even = _gf2_square(odd)   # 2 zero bits
-    odd = _gf2_square(even)   # 4 zero bits
-    return _gf2_square(odd)   # 8 zero bits = one zero byte
+def _one_byte_operator() -> np.ndarray:
+    # A(x) = T[x & 0xFF] ^ (x >> 8)
+    v = np.arange(256, dtype=np.uint32)
+    return np.stack([_TABLE, v, v << np.uint32(8), v << np.uint32(16)])
 
 
-_BYTE_OP = _one_byte_operator()
-_ZERO_OPS: dict[int, list[int]] = {}
+_POWERS: list[np.ndarray] = [_one_byte_operator()]
+_SHIFT_TABLE: np.ndarray | None = None
+# Shard-pool threads hash concurrently; the lazy tables only ever grow,
+# under this lock, so a reader that saw a table long enough stays right.
+_BUILD_LOCK = threading.Lock()
 
 
-def _zeros_operator(nbytes: int) -> list[int]:
-    """Operator advancing a CRC across ``nbytes`` zero bytes."""
-    cached = _ZERO_OPS.get(nbytes)
-    if cached is not None:
-        return cached
-    mat = None
-    op = _BYTE_OP
-    n = nbytes
-    while n:
-        if n & 1:
-            mat = op if mat is None else [
-                _gf2_times(op, mat[i]) for i in range(32)
-            ]
-        n >>= 1
-        if n:
-            op = _gf2_square(op)
-    if mat is None:
-        mat = [1 << i for i in range(32)]
-    if len(_ZERO_OPS) < 64:  # bound the cache; lengths repeat in practice
-        _ZERO_OPS[nbytes] = mat
-    return mat
+def _powers(count: int) -> list[np.ndarray]:
+    """``A^(2^k)`` operators for at least ``k < count``, squared lazily."""
+    if len(_POWERS) < count:
+        with _BUILD_LOCK:
+            while len(_POWERS) < count:
+                _POWERS.append(_apply(_POWERS[-1], _POWERS[-1]))
+    return _POWERS
+
+
+def _shift_table() -> np.ndarray:
+    """Flat ``S[r, b] = A^r(T[b])``: 256 x 256 uint32, built by doubling."""
+    global _SHIFT_TABLE
+    if _SHIFT_TABLE is None:
+        powers = _powers(8)
+        with _BUILD_LOCK:
+            if _SHIFT_TABLE is None:
+                table = np.empty((256, 256), dtype=np.uint32)
+                table[0] = _TABLE
+                for k in range(8):
+                    half = 1 << k
+                    table[half : 2 * half] = _apply(powers[k], table[:half])
+                _SHIFT_TABLE = table.reshape(-1)
+    return _SHIFT_TABLE
+
+
+def _advance(x: np.ndarray, nbytes: np.ndarray, skip: int = 0) -> np.ndarray:
+    """Advance each register ``x[i]`` across ``nbytes[i] << skip`` zeros."""
+    x = np.array(x, dtype=np.uint32)
+    top = int(nbytes.max(initial=0)).bit_length()
+    powers = _powers(top + skip)
+    for k in range(top):
+        sel = ((nbytes >> k) & 1).astype(bool)
+        if sel.any():
+            x[sel] = _apply(powers[k + skip], x[sel])
+    return x
 
 
 def crc32c_combine(crc1: int, crc2: int, len2: int) -> int:
     """CRC of ``A ++ B`` given ``crc32c(A)``, ``crc32c(B)``, and ``len(B)``."""
     if len2 <= 0:
         return crc1 & 0xFFFFFFFF
-    return (_gf2_times(_zeros_operator(len2), crc1) ^ crc2) & 0xFFFFFFFF
+    moved = _advance(np.array([crc1 & 0xFFFFFFFF]), np.array([len2]))
+    return (int(moved[0]) ^ crc2) & 0xFFFFFFFF
 
 
-# -- single-buffer CRC ------------------------------------------------------
+# -- the kernel ---------------------------------------------------------------
 
-_STRIP_THRESHOLD = 1 << 13  # 8 KiB: below this a plain byte loop wins
-_NUM_STRIPS = 64
-
-
-def _crc_bytes(buf: np.ndarray, reg: int) -> int:
-    """Scalar table loop over a uint8 array, register pre-inverted."""
-    table = _TABLE
-    for b in buf:
-        reg = int(table[(reg ^ int(b)) & 0xFF]) ^ (reg >> 8)
-    return reg
-
-
-def crc32c(data, crc: int = 0) -> int:
-    """CRC32C of ``data``, optionally continuing from a previous value."""
+def _byte_view(data) -> np.ndarray:
     if isinstance(data, np.ndarray):
-        buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-    else:
-        buf = np.frombuffer(bytes(data), dtype=np.uint8)
-    n = buf.size
-    if n == 0:
-        return crc & 0xFFFFFFFF
-    if n < _STRIP_THRESHOLD:
-        return (_crc_bytes(buf, (crc & 0xFFFFFFFF) ^ 0xFFFFFFFF)
-                ^ 0xFFFFFFFF) & 0xFFFFFFFF
-    # Strip-parallel: CRC 64 equal strips column-wise in one vectorized
-    # loop (strip_len iterations, not n), then fold left-to-right with the
-    # cached zero-advance operator.
-    strip_len = n // _NUM_STRIPS
-    head_len = _NUM_STRIPS * strip_len
-    body = buf[:head_len].reshape(_NUM_STRIPS, strip_len)
-    regs = np.full(_NUM_STRIPS, 0xFFFFFFFF, dtype=np.uint32)
-    for j in range(strip_len):
-        regs = _TABLE[(regs ^ body[:, j]) & np.uint32(0xFF)] ^ (
-            regs >> np.uint32(8)
+        return np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+    view = memoryview(data)
+    return np.frombuffer(view if view.c_contiguous else view.tobytes(),
+                         dtype=np.uint8)
+
+
+def _region_terms(data, starts, lengths) -> np.ndarray:
+    """``XOR_i A^{d_i}(T[b_i])`` of each nonempty region (zero init)."""
+    m = lengths.size
+    ends = np.cumsum(lengths)  # region ends in the concatenated bytes
+    total = int(ends[-1])
+    # Runs: the bytes of one region sharing q = d >> 8. The first run of
+    # a region holds its ((n - 1) % 256) + 1 leading bytes, then 256 each.
+    nruns = (lengths + 255) >> 8
+    first_run = np.zeros(m, dtype=np.int64)
+    np.cumsum(nruns[:-1], out=first_run[1:])
+    run_region = np.repeat(np.arange(m), nruns)
+    j = np.arange(run_region.size) - first_run[run_region]
+    head = ((lengths - 1) & 255) + 1
+    run_start = (ends - lengths)[run_region] + np.where(
+        j == 0, 0, head[run_region] + ((j - 1) << 8)
+    )
+    run_q = ((lengths - 1) >> 8)[run_region] - j
+    # r = d & 255 = (end - 1 - p) & 255: the same for every run of a
+    # region, so one uint8 value per run and a byte ramp give it.
+    run_key = ((ends - 1)[run_region] & 255).astype(np.uint8)
+    tiled = bool((starts[1:] == starts[:-1] + lengths[:-1]).all())
+    shift = (starts - (ends - lengths))[run_region]
+    table = _shift_table()
+    acc = np.zeros(run_region.size, dtype=np.uint32)
+    pair = np.empty((min(_SLAB, total), 2), dtype=np.uint8)
+    for lo in range(0, total, _SLAB):
+        hi = min(lo + _SLAB, total)
+        a = int(np.searchsorted(run_start, lo, side="right")) - 1
+        b = int(np.searchsorted(run_start, hi, side="left"))
+        local = run_start[a:b] - lo
+        local[0] = 0
+        counts = np.diff(local, append=hi - lo)
+        if tiled:
+            first = int(starts[0]) + lo
+            pair[: hi - lo, 0] = data[first : first + hi - lo]
+        else:
+            pos = np.arange(lo, hi) + np.repeat(shift[a:b], counts)
+            pair[: hi - lo, 0] = data[pos]
+        # r into the high byte (uint8 wraparound; lo is a multiple of 256)
+        np.subtract(
+            np.repeat(run_key[a:b], counts), _RAMP[: hi - lo],
+            out=pair[: hi - lo, 1],
         )
-    crcs = regs ^ np.uint32(0xFFFFFFFF)
-    total = int(crcs[0])
-    for i in range(1, _NUM_STRIPS):
-        total = crc32c_combine(total, int(crcs[i]), strip_len)
-    out = crc32c_combine(crc & 0xFFFFFFFF, total, head_len) if crc else total
-    tail = buf[head_len:]
-    if tail.size:
-        out = (_crc_bytes(tail, out ^ 0xFFFFFFFF) ^ 0xFFFFFFFF) & 0xFFFFFFFF
-    return out
+        index = pair[: hi - lo].view("<u2").reshape(-1)
+        acc[a:b] ^= np.bitwise_xor.reduceat(np.take(table, index), local)
+    acc = _advance(acc, run_q, skip=8)
+    return np.bitwise_xor.reduceat(acc, first_run)
 
-
-# -- many-region CRC --------------------------------------------------------
 
 def crc32c_many(buf, starts, lengths, init=None) -> np.ndarray:
     """CRC32C of many ``(start, length)`` regions of one buffer at once.
 
-    Processes byte column ``j`` of every still-active region in a single
-    vectorized step, so the Python loop runs ``max(lengths)`` times rather
-    than ``sum(lengths)`` — the same column-wise gather trick the block
-    decoder uses. ``init`` optionally seeds each region with a running CRC
-    (for split coverage like "fl slice ++ record slice").
+    Regions may overlap, come in any order, or be empty. ``init``
+    optionally seeds each region with a running CRC (for split coverage
+    like "fl slice ++ record slice").
     """
-    if isinstance(buf, np.ndarray):
-        data = np.ascontiguousarray(buf).view(np.uint8).reshape(-1)
-    else:
-        data = np.frombuffer(buf, dtype=np.uint8)
+    data = _byte_view(buf)
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     m = starts.size
     if init is None:
         regs = np.full(m, 0xFFFFFFFF, dtype=np.uint32)
     else:
-        regs = np.asarray(init, dtype=np.uint32) ^ np.uint32(0xFFFFFFFF)
+        regs = np.asarray(init, dtype=np.uint32) ^ _MASK
     if m == 0:
         return regs
     if (lengths < 0).any() or (starts < 0).any():
@@ -187,13 +222,14 @@ def crc32c_many(buf, starts, lengths, init=None) -> np.ndarray:
             raise ValueError(
                 f"region extends to byte {end} but buffer has {data.size}"
             )
-    for j in range(max_len):
-        active = lengths > j
-        if not active.any():
-            break
-        cols = data[starts[active] + j]
-        sub = regs[active]
-        regs[active] = _TABLE[(sub ^ cols) & np.uint32(0xFF)] ^ (
-            sub >> np.uint32(8)
-        )
-    return regs ^ np.uint32(0xFFFFFFFF)
+    out = _advance(regs, lengths)
+    live = lengths > 0
+    if live.any():
+        out[live] ^= _region_terms(data, starts[live], lengths[live])
+    return out ^ _MASK
+
+
+def crc32c(data, crc: int = 0) -> int:
+    """CRC32C of ``data``, optionally continuing from a previous value."""
+    buf = _byte_view(data)
+    return int(crc32c_many(buf, [0], [buf.size], init=[crc & 0xFFFFFFFF])[0])

@@ -223,6 +223,12 @@ def _headline_host_throughput(payload: dict) -> dict:
                 out[f"{profile}.serial-v1.decompress_mbs"] = float(
                     case["decompress_mbs"]
                 )
+            # The checksummed container: CRC32C is most of its cost, and
+            # no speedup ratio covers it, so guard both directions.
+            if case["name"] == "serial-v3":
+                for key in ("compress_mbs", "decompress_mbs"):
+                    if key in case:
+                        out[f"{profile}.serial-v3.{key}"] = float(case[key])
     return out
 
 

@@ -6,7 +6,8 @@ go through every codec path: the reference, the fused default, the shard
 engine (``jobs=2``), salvage of a clean stream and, for float32 input, the
 simulated wafer (``mode="hybrid"`` on a 2x2 mesh). All paths must write
 the same bytes, decode to the same bits, and keep every value within the
-bound — or all reject the input with the same error type.
+bound — or all reject the input with the same error type. The wafer
+rejects float64 input outright, naming its float32 datapath.
 """
 
 import numpy as np
@@ -81,6 +82,9 @@ def test_paths_agree_on_hostile_inputs(family, dtype, n, seed):
     x, kw = _hostile(family, dtype, n, seed)
     ref, error = _attempt(lambda: REF.compress(x, **kw))
     wafer = x.dtype == np.float32
+    if not wafer:
+        with pytest.raises(CompressionError, match="datapath is float32"):
+            WSECereSZ(rows=2, cols=2, mode="hybrid").compress(x, **kw)
 
     if error is not None:
         # A rejection must be unanimous and name its cause.
@@ -116,6 +120,24 @@ def test_paths_agree_on_hostile_inputs(family, dtype, n, seed):
                 sim.compress(x, **kw)
         else:
             assert sim.compress(x, **kw).stream == ref.stream
+
+
+@pytest.mark.parametrize("dtype", ["f8", "f2", "i4"])
+def test_wafer_rejects_non_float32_input(dtype):
+    """The wafer writes an f4 container from its float32 datapath, so any
+    other dtype is refused up front rather than silently cast."""
+    x = np.linspace(-1.0, 1.0, 4 * 32).astype(dtype)
+    sim = WSECereSZ(rows=2, cols=2, mode="hybrid")
+    for call in (
+        lambda: sim.compress(x, rel=1e-3),
+        lambda: sim.compress(x, rel=1e-3, tile_rows=True),
+        lambda: sim.plan_for(x, rel=1e-3),
+    ):
+        with pytest.raises(CompressionError, match=f"float32, got {x.dtype}"):
+            call()
+    assert sim.compress(x.astype(np.float32), rel=1e-3).stream == (
+        REF.compress(x.astype(np.float32), rel=1e-3).stream
+    )
 
 
 @pytest.mark.parametrize("dtype", ["f4", "f8"])

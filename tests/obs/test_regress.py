@@ -112,6 +112,28 @@ class TestHeadlineAdapters:
         policy = metric_policy("smooth.serial-v1.decompress_mbs")
         assert (policy.direction, policy.kind) == ("higher", "timing")
 
+    def test_host_throughput_guards_checksummed_container(self):
+        payload = {
+            "benchmark": "host_throughput",
+            "profiles": {
+                "turbulent": {
+                    "cases": [
+                        {"name": "serial-v3", "ratio": 3.1,
+                         "compress_mbs": 210.0, "decompress_mbs": 190.0},
+                        {"name": "fused", "ratio": 3.1,
+                         "compress_mbs": 240.0, "decompress_mbs": 230.0},
+                    ],
+                }
+            },
+        }
+        vals = headline_values(payload)
+        assert vals["turbulent.serial-v3.compress_mbs"] == 210.0
+        assert vals["turbulent.serial-v3.decompress_mbs"] == 190.0
+        assert "turbulent.fused.compress_mbs" not in vals
+        for key in ("compress_mbs", "decompress_mbs"):
+            policy = metric_policy(f"turbulent.serial-v3.{key}")
+            assert (policy.direction, policy.kind) == ("higher", "timing")
+
     def test_sim_speed(self):
         payload = {
             "benchmark": "sim_speed",
