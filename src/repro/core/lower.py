@@ -450,12 +450,13 @@ def _lower_compute(
     c_recv = cmap[node.recv]
     c_go = cmap[node.go]
     my = list(node.blocks)
-    stages = compression_substages(64, block_size, model)  # superset plan
     # The stepped sub-stage machine models the paper's 1-D Lorenzo
     # pipeline; any other block-local predictor always runs through the
-    # fused kernel, which dispatches on plan.predictor.
+    # fused kernel, which dispatches on plan.predictor. Only the stepped
+    # machine walks the 64-bit superset stage plan.
     use_fast = fast_kernels or plan.predictor != "lorenzo1d"
     fast = _make_fast_compress(plan, model, nc) if use_fast else None
+    stages = None if use_fast else compression_substages(64, block_size, model)
     progress = {"next": 0}
 
     def recv(ctx: TaskContext) -> None:
@@ -505,10 +506,14 @@ def _lower_relay(
     c_go = cmap[node.go]
     sched = list(node.schedule)
     my = list(node.blocks)
-    box = {"round": 0, "relayed": 0, "done": 0}
+    box = {"round": 0, "relayed": False, "done": 0}
     relay_overhead = max(
         0.0, model.relay_block_cycles(block_size) - block_size
     )
+
+    def count_block() -> None:
+        nc.blocks_relayed += 1
+        nc.wavelets_sent += block_size
 
     def relay(ctx: TaskContext) -> None:
         rnd = box["round"]
@@ -519,25 +524,29 @@ def _lower_relay(
             ctx.halt()
             return
         to_relay, own = sched[rnd]
-        if box["relayed"] < to_relay:
-            # Pass one block east untouched (Fig 9 lines 26-28), then
-            # re-arm the relay task. The engine charges the wavelet
-            # injection when the forward fires; spend only C1's
-            # router/queueing overhead here so the per-block relay cost
-            # totals exactly C1.
+        if to_relay and not box["relayed"]:
+            # Pass the round's to_relay blocks east untouched (Fig 9 lines
+            # 26-28) with one counted descriptor. Per block, the engine
+            # charges the wavelet injection when the forward fires and
+            # replays this task's re-arm (C1's router/queueing overhead
+            # and the block count, done here for the first block), so each
+            # block's relay cost totals exactly C1; on_complete re-runs
+            # this task once the round has left.
             ctx.mov32(
                 FaboutDsd(c_send, extent=block_size),
                 FabinDsd(c_recv, extent=block_size),
                 on_complete=c_recv,
                 relay=True,
+                count=to_relay,
+                rearm=relay_overhead,
+                on_rearm=count_block,
             )
             ctx.spend(relay_overhead, relay=True)
-            nc.blocks_relayed += 1
-            nc.wavelets_sent += block_size
-            box["relayed"] += 1
-            if box["relayed"] == to_relay and own is None:
+            count_block()
+            box["relayed"] = True
+            if own is None:
                 box["round"] += 1
-                box["relayed"] = 0
+                box["relayed"] = False
         elif own is not None:
             # This PE's own block of the round (Fig 9 lines 21-23).
             ctx.mov32(
@@ -547,15 +556,17 @@ def _lower_relay(
             )
         else:  # pragma: no cover - unreachable by construction
             box["round"] += 1
-            box["relayed"] = 0
+            box["relayed"] = False
             ctx.activate(c_recv)
 
     if node.group is None:
-        stages = compression_substages(64, block_size, model)
         # Same rule as _lower_compute: the stepped machine is the 1-D
         # Lorenzo model; other predictors take the fused kernel.
         use_fast = fast_kernels or plan.predictor != "lorenzo1d"
         fast = _make_fast_compress(plan, model, nc) if use_fast else None
+        stages = (
+            None if use_fast else compression_substages(64, block_size, model)
+        )
 
         def consume(ctx: TaskContext) -> None:
             idx = my[box["done"]]
@@ -586,7 +597,7 @@ def _lower_relay(
     def compute(ctx: TaskContext) -> None:
         consume(ctx)
         box["round"] += 1
-        box["relayed"] = 0
+        box["relayed"] = False
         # Keep running while *any* duty remains — own blocks or tail-round
         # relays for PEs east (halting early would starve them, the Fig 9
         # countdown's whole point).

@@ -68,6 +68,11 @@ class FaultInjector:
         for f in self.plan.faults:
             if f.kind in ("halt", "flip"):
                 engine.schedule_fault(f, float(f.at_cycle))
+                if f.kind == "halt":
+                    # Known before the run, so counted relays never book
+                    # a re-arm the halt will cancel.
+                    pe = fabric.pe(f.row, f.col)
+                    pe.halt_at = min(pe.halt_at, float(f.at_cycle))
             elif f.kind == "link":
                 name = _DIRECTION_NAMES[f.direction.upper()]
                 fabric.break_link(f.row, f.col, Direction(name))

@@ -35,11 +35,41 @@ The heap holds at most one ``task`` event per PE (``pe.task_scheduled``
 guards re-arming; the dispatcher re-pushes while pending activations
 remain), and ``match`` probes are only queued when they can pair —
 deliveries with no posted receive and receives with an empty inbox do not
-enqueue anything. Both are pure event-count reductions: timing and
-matching order are unchanged, only redundant no-op events disappear.
+enqueue anything. A delivery that finds a posted receive or relay is
+matched while the ``deliver`` event is dispatched, instead of through a
+second event at the same cycle; a freshly posted receive or relay that
+finds data waiting still queues one ``match`` probe at its posting cycle.
+These are pure event-count reductions: timing and matching order are
+unchanged, only redundant no-op events disappear.
 ``Engine(..., optimize=False)`` restores the pre-optimization behaviour
 (every activation pushes a task event, every deliver/post pushes a match,
 every send copies) so the benchmark suite can measure the difference.
+
+Counted relays
+--------------
+Fig 9's relay loop passes ``to_relay`` blocks east, re-arming its relay
+task after each one. ``mov32(fabout <- fabin, count=n, rearm=r,
+on_complete=c)`` posts the whole round as one descriptor; the posting task
+is the round's first relay task, and the engine replays the ``n - 1``
+re-arms exactly as the task loop would have run them. With ``A_j`` the
+arrival of block ``j``, ``T_1`` the posting cycle and ``inject`` the
+block's injection cycles:
+
+* block ``j`` leaves at ``S_j = max(A_j, T_j)``;
+* the next re-arm runs at ``T_{j+1} = max(S_j + inject, T_j + r)``;
+* each re-arm adds ``r`` to the PE's ``relay_cycles`` and 1 to
+  ``tasks_run``, sets ``busy_until = T_{j+1} + r``, records the same
+  timeline event (named after the task bound to ``c``) the task would
+  have, and calls the descriptor's ``on_rearm`` (the task's own per-block
+  bookkeeping, such as plan-node counters);
+* ``c`` is activated only after the last block, at ``S_n + inject``.
+
+A timed halt at cycle ``h`` (``pe.halt_at``, known once the fault plan is
+installed) cancels every re-arm due at or after ``h``: the round ends with
+the last block already posted, as the task loop would stop there, so no
+accounting is ever booked for a re-arm that never runs. A block that is
+already waiting when its re-arm is booked gets one ``match`` probe at the
+re-arm cycle; a block that arrives after it is matched on delivery.
 """
 
 from __future__ import annotations
@@ -47,7 +77,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -85,7 +115,7 @@ class SimulationReport:
         return self.fault is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingRecv:
     dst: Mem1dDsd
     extent: int
@@ -93,22 +123,37 @@ class _PendingRecv:
     posted_at: float
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingRelay:
+    """A counted relay round: ``remaining`` blocks of ``extent`` each.
+
+    ``posted_at`` is the cycle the head block was (re-)armed; ``rearm``
+    the cycles each replayed re-arm spends; ``task`` the timeline name of
+    the re-arming task and ``on_rearm`` its per-block bookkeeping;
+    ``waking`` is set while a ``match`` probe for a waiting block is
+    queued at ``posted_at``.
+    """
+
     out_color: Color
     extent: int
     on_complete: Color | None
     posted_at: float
     charge_relay: bool
+    remaining: int = 1
+    rearm: int = 0
+    task: str = ""
+    on_rearm: Callable[[], None] | None = None
+    waking: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class _Event:
     kind: str
     pe: ProcessingElement | None = None
     color_id: int = -1
     data: np.ndarray | None = None
-    payload: dict = field(default_factory=dict)
+    #: The fault a ``fault`` event fires; unused by every other kind.
+    payload: object = None
 
 
 class Engine:
@@ -208,7 +253,10 @@ class Engine:
         (e.g. a generator kernel outside the simulated program).
         """
         pe = self.fabric.pe(row, col)
-        self._send(pe, color, np.asarray(data), at, None, False)
+        arr = np.asarray(data)
+        self._send(
+            pe, color, arr, at, None, False, wavelet_count(arr) * HOP_CYCLES
+        )
 
     def schedule_activation(
         self, pe: ProcessingElement, color_id: int, at: float
@@ -217,7 +265,7 @@ class Engine:
 
     def schedule_fault(self, fault, at: float) -> None:
         """Arm a timed fault (PE halt, SRAM bit flip) at cycle ``at``."""
-        self._push(at, _Event("fault", payload={"fault": fault}))
+        self._push(at, _Event("fault", payload=fault))
 
     def note_scratch(self, pe: ProcessingElement, name: str) -> None:
         """Mark ``name`` as a transmit scratch buffer to free on send."""
@@ -232,8 +280,22 @@ class Engine:
         on_complete: Color | None,
         *,
         relay: bool = False,
+        count: int = 1,
+        rearm: float = 0.0,
+        on_rearm: Callable[[], None] | None = None,
     ) -> None:
-        """Interpret a ``mov32`` issued by a task on ``pe`` at cycle ``now``."""
+        """Interpret a ``mov32`` issued by a task on ``pe`` at cycle ``now``.
+
+        ``count``/``rearm`` make a ``fabout <- fabin`` relay a counted
+        round (see "Counted relays" in the module docstring); every other
+        combination moves exactly one transfer.
+        """
+        is_relay = isinstance(dst, FaboutDsd) and isinstance(src, FabinDsd)
+        if count != 1 and (count < 1 or not is_relay or on_complete is None):
+            raise TaskError(
+                f"PE{pe.coord}: count={count} needs a fabout <- fabin relay "
+                f"with an on_complete color to re-arm"
+            )
         if isinstance(dst, Mem1dDsd) and isinstance(src, FabinDsd):
             key = (pe.row, pe.col, src.color.id)
             self._recv.setdefault(key, deque()).append(
@@ -258,12 +320,20 @@ class Engine:
                     f"PE{pe.coord}: fabout extent {dst.extent} != source "
                     f"window size {data.size}"
                 )
-            self._send(pe, dst.color, data, now, on_complete, relay)
+            self._send(
+                pe, dst.color, data, now, on_complete, relay,
+                wavelet_count(data) * HOP_CYCLES,
+            )
             self._free_scratch(pe, src.buffer)
-        elif isinstance(dst, FaboutDsd) and isinstance(src, FabinDsd):
+        elif is_relay:
             key = (pe.row, pe.col, src.color.id)
             self._relay.setdefault(key, deque()).append(
-                _PendingRelay(dst.color, src.extent, on_complete, now, relay)
+                _PendingRelay(
+                    dst.color, src.extent, on_complete, now, relay,
+                    count, int(round(rearm)),
+                    pe.tasks[on_complete.id].name if count > 1 else "",
+                    on_rearm,
+                )
             )
             if not self.optimize or pe.inbox.get(src.color.id):
                 self._push(now, _Event("match", pe, src.color.id))
@@ -414,14 +484,12 @@ class Engine:
                     return  # injected wavelet drop: the data never arrives
             for _ in range(copies):
                 event.pe.deliver(event.color_id, event.data)
-            # Data with no posted receive/relay just waits in the inbox; the
-            # matching submit_transfer will probe when it arrives.
-            key = (event.pe.row, event.pe.col, event.color_id)
-            if (
-                not self.optimize
-                or self._recv.get(key)
-                or self._relay.get(key)
-            ):
+            # Data that can pair is matched now rather than by a same-cycle
+            # probe; data with no posted receive/relay waits in the inbox
+            # until the matching submit_transfer probes.
+            if self.optimize:
+                self._match(event.pe, event.color_id, time)
+            else:
                 self._push(time, _Event("match", event.pe, event.color_id))
         elif event.kind == "match":
             self._match(event.pe, event.color_id, time)
@@ -431,63 +499,110 @@ class Engine:
         elif event.kind == "task":
             self._run_task(event.pe, time)
         elif event.kind == "fault":
-            self.faults.apply_timed(self, event.payload["fault"], time)
+            self.faults.apply_timed(self, event.payload, time)
         else:  # pragma: no cover - defensive
             raise TaskError(f"unknown event kind {event.kind!r}")
 
     def _match(self, pe: ProcessingElement, color_id: int, time: float) -> None:
-        """Pair arrived data with pending receives/relays, FIFO."""
+        """Pair arrived data with pending receives/relays, FIFO.
+
+        Relays posted before receives are matched first in posting order;
+        on a tie the receive goes first. A relay whose next re-arm is still
+        ahead of ``time`` is not posted yet: the waiting block gets one
+        probe at the re-arm cycle instead.
+        """
+        inbox = pe.inbox.get(color_id)
+        if not inbox:
+            return
         key = (pe.row, pe.col, color_id)
-        while True:
-            relays = self._relay.get(key)
-            recvs = self._recv.get(key)
-            # Relays posted before receives are matched first in posting order.
-            candidates: list[tuple[float, str]] = []
-            if relays:
-                candidates.append((relays[0].posted_at, "relay"))
-            if recvs:
-                candidates.append((recvs[0].posted_at, "recv"))
-            if not candidates:
-                return
-            data = pe.take_delivery(color_id)
-            if data is None:
-                return
-            candidates.sort()
-            _, which = candidates[0]
-            if which == "relay":
-                pending = relays.popleft()
-                if data.size != pending.extent:
+        relays = self._relay.get(key)
+        recvs = self._recv.get(key)
+        while inbox:
+            relay = relays[0] if relays else None
+            recv = recvs[0] if recvs else None
+            if relay is not None and (
+                recv is None or relay.posted_at < recv.posted_at
+            ):
+                if relay.posted_at > time:
+                    if not relay.waking:
+                        relay.waking = True
+                        self._push(
+                            relay.posted_at, _Event("match", pe, color_id)
+                        )
+                    return
+                data = inbox.popleft()
+                if data.size != relay.extent:
                     raise TaskError(
                         f"PE{pe.coord}: relay on color {color_id} expected "
-                        f"{pending.extent} wavelets, got {data.size}"
+                        f"{relay.extent} wavelets, got {data.size}"
                     )
-                self._send(
-                    pe,
-                    pending.out_color,
-                    data,
-                    max(time, pending.posted_at),
-                    pending.on_complete,
-                    pending.charge_relay,
-                )
-            else:
-                pending = recvs.popleft()
-                if data.size != pending.extent:
+                self._relay_block(pe, relays, data, time)
+            elif recv is not None:
+                data = inbox.popleft()
+                recvs.popleft()
+                if data.size != recv.extent:
                     raise TaskError(
                         f"PE{pe.coord}: receive on color {color_id} expected "
-                        f"{pending.extent} wavelets, got {data.size}"
+                        f"{recv.extent} wavelets, got {data.size}"
                     )
-                target = pending.dst.resolve(pe.buffers)
+                target = recv.dst.resolve(pe.buffers)
                 if target.size != data.size:
                     raise TaskError(
                         f"PE{pe.coord}: receive buffer window holds "
                         f"{target.size} elements, data has {data.size}"
                     )
                 target[:] = data.astype(target.dtype, copy=False)
-                if pending.on_complete is not None:
-                    done = max(time, pending.posted_at)
+                if recv.on_complete is not None:
+                    done = max(time, recv.posted_at)
                     self._push(
-                        done, _Event("activate", pe, pending.on_complete.id)
+                        done, _Event("activate", pe, recv.on_complete.id)
                     )
+            else:
+                return
+
+    def _relay_block(
+        self,
+        pe: ProcessingElement,
+        relays: deque[_PendingRelay],
+        data: np.ndarray,
+        time: float,
+    ) -> None:
+        """Forward one block of the head relay round, then re-arm it.
+
+        ``_match`` calls this once the block has arrived and its re-arm is
+        due, so the block leaves at ``time`` (``S_j = max(A_j, T_j)``).
+        """
+        relay = relays[0]
+        inject = wavelet_count(data) * HOP_CYCLES
+        relay.remaining -= 1
+        if relay.remaining:
+            rearm_at = max(time + inject, relay.posted_at + relay.rearm)
+            if rearm_at < pe.halt_at:
+                self._send(
+                    pe, relay.out_color, data, time, None,
+                    relay.charge_relay, inject,
+                )
+                # Replay the re-arm task's run at rearm_at (module
+                # docstring).
+                rearm = relay.rearm
+                pe.relay_cycles += rearm
+                pe.tasks_run += 1
+                pe.busy_until = rearm_at + rearm
+                if self._timeline:
+                    self.tracer.pe_event(
+                        pe.row, pe.col, relay.task, rearm_at, rearm
+                    )
+                if relay.on_rearm is not None:
+                    relay.on_rearm()
+                relay.posted_at = rearm_at
+                relay.waking = False
+                return
+            # A halt at or before the next re-arm ends the round here.
+        relays.popleft()
+        self._send(
+            pe, relay.out_color, data, time, relay.on_complete,
+            relay.charge_relay, inject,
+        )
 
     def _send(
         self,
@@ -497,9 +612,9 @@ class Engine:
         now: float,
         on_complete: Color | None,
         charge_relay: bool,
+        inject_cycles: int,
     ) -> None:
         route = self.fabric.resolve(pe.row, pe.col, color)
-        inject_cycles = wavelet_count(data) * HOP_CYCLES
         if charge_relay:
             pe.relay_cycles += inject_cycles
         if route.dropped:

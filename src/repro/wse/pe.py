@@ -11,6 +11,7 @@ with a single ``busy_until`` horizon per PE.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -56,6 +57,9 @@ class ProcessingElement:
     #: --metrics`` reports the fabric-wide maximum).
     max_inbox_depth: int = 0
     halted: bool = False
+    #: Cycle of the timed halt fault armed on this PE (``inf`` if none).
+    #: Counted relays stop re-arming at it (see :mod:`repro.wse.engine`).
+    halt_at: float = math.inf
     #: True while a ``task`` event for this PE sits in the engine's heap.
     #: The engine keeps at most one such event per PE (the dispatcher
     #: re-arms it while work remains), so N pending activations cost one
@@ -112,12 +116,6 @@ class ProcessingElement:
         queue.append(data)
         if len(queue) > self.max_inbox_depth:
             self.max_inbox_depth = len(queue)
-
-    def take_delivery(self, color_id: int) -> np.ndarray | None:
-        queue = self.inbox.get(color_id)
-        if not queue:
-            return None
-        return queue.popleft()
 
     def has_work(self) -> bool:
         return bool(self.pending) and not self.halted
@@ -217,6 +215,9 @@ class TaskContext:
         *,
         on_complete: Color | None = None,
         relay: bool = False,
+        count: int = 1,
+        rearm: float = 0.0,
+        on_rearm: Callable[[], None] | None = None,
     ) -> None:
         """``@mov32``: asynchronous DSD-to-DSD move.
 
@@ -230,9 +231,16 @@ class TaskContext:
 
         ``on_complete`` names the color activated when the move finishes —
         this is the data-triggering mechanism of the paper's Figure 4.
+
+        A relay with ``count > 1`` passes ``count`` transfers of the
+        source extent as one Fig 9 round: the engine replays the
+        ``on_complete`` task's re-arm (``rearm`` relay cycles, then
+        ``on_rearm()``) between blocks and activates ``on_complete`` once,
+        after the last block.
         """
         self._engine.submit_transfer(
-            self._pe, dst, src, self.now, on_complete, relay=relay
+            self._pe, dst, src, self.now, on_complete, relay=relay,
+            count=count, rearm=rearm, on_rearm=on_rearm,
         )
 
     def send(

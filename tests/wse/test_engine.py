@@ -217,6 +217,147 @@ class TestRelay:
         assert mid.relay_cycles == 4  # injection of 4 wavelets
 
 
+def _relay_round(*, counted, arrivals, rearm, halt_at=None):
+    """PE(0,0) relays ``len(arrivals)`` 8-wavelet blocks to a sink PE.
+
+    ``counted`` posts them as one counted round; otherwise the relay task
+    re-arms after every block (the loop a counted round replays). Returns
+    every observable — relay-PE counters and inbox high-water mark, sink
+    arrival cycles and data, the sorted timeline, and the stall message
+    (if the run stalls) — and, separately, the number of events the
+    engine processed.
+    """
+    from repro.faults import FaultPlan, PEHalt
+    from repro.obs.tracing import Tracer
+
+    faults = None
+    if halt_at is not None:
+        faults = FaultPlan(
+            seed=0, faults=(PEHalt(row=0, col=0, at_cycle=halt_at),)
+        )
+    fabric = Fabric(1, 2)
+    tracer = Tracer(level="timeline")
+    engine = Engine(fabric, tracer=tracer, faults=faults)
+    colors = ColorAllocator()
+    c_in = colors.allocate("in")
+    c_out = colors.allocate("out")
+    c_go = colors.allocate("go")
+    c_done = colors.allocate("done")
+    fabric.set_route(0, 0, c_in, Direction.WEST, Direction.RAMP)
+    fabric.route_row_segment(0, 0, 1, c_out)
+    relay_pe, sink = fabric.pe(0, 0), fabric.pe(0, 1)
+    sink.alloc_buffer("in", np.zeros(8, dtype=np.float32))
+    n = len(arrivals)
+    state = {"posted": 0}
+    got = []
+
+    def relay(ctx):
+        if state["posted"] == n:
+            ctx.halt()
+            return
+        count = n if counted else 1
+        ctx.mov32(
+            FaboutDsd(c_out, extent=8),
+            FabinDsd(c_in, extent=8),
+            on_complete=c_in,
+            relay=True,
+            count=count,
+            rearm=rearm,
+        )
+        ctx.spend(rearm, relay=True)
+        state["posted"] += count
+
+    def recv(ctx):
+        ctx.mov32(
+            Mem1dDsd("in"), FabinDsd(c_out, extent=8), on_complete=c_done
+        )
+
+    def done(ctx):
+        got.append((ctx.now, ctx.buffer("in").copy().tolist()))
+        if len(got) < n:
+            ctx.activate(c_go)
+        else:
+            ctx.halt()
+
+    relay_pe.bind_task(c_in, Task("relay", relay))
+    sink.bind_task(c_go, Task("recv", recv))
+    sink.bind_task(c_done, Task("done", done))
+    engine.schedule_activation(relay_pe, c_in.id, 0.0)
+    engine.schedule_activation(sink, c_go.id, 0.0)
+    for i, at in enumerate(arrivals):
+        engine.inject(0, 0, c_in, np.full(8, i, dtype=np.float32), at=at)
+    try:
+        engine.run()
+        stall = None
+    except DeadlockError as exc:
+        stall = str(exc)
+    timeline = sorted(
+        (e.row, e.col, e.name, e.start_cycles, e.dur_cycles)
+        for e in tracer.pe_events
+    )
+    observed = {
+        "relay_pe": (
+            relay_pe.relay_cycles, relay_pe.tasks_run, relay_pe.busy_until,
+            relay_pe.max_inbox_depth,
+        ),
+        "sink": got,
+        "timeline": timeline,
+        "stall": stall,
+    }
+    return observed, engine.events_processed
+
+
+class TestCountedRelay:
+    """A counted round replays the per-block relay task loop exactly."""
+
+    ARRIVALS = {
+        "burst": [0, 0, 0, 0, 0],  # blocks queue up: re-arms pace them
+        "sparse": [0, 100, 200, 300, 400],  # each block waits for data
+        "mixed": [0, 3, 90, 91, 250],
+    }
+
+    @pytest.mark.parametrize("rearm", [0, 5, 23])
+    @pytest.mark.parametrize("arrivals", sorted(ARRIVALS))
+    def test_matches_task_loop(self, arrivals, rearm):
+        kw = dict(arrivals=self.ARRIVALS[arrivals], rearm=rearm)
+        counted, counted_events = _relay_round(counted=True, **kw)
+        loop, loop_events = _relay_round(counted=False, **kw)
+        assert counted == loop
+        assert len(counted["sink"]) == 5
+        assert counted_events < loop_events
+
+    # Re-arms fall at 23, 46, 69, 92 (burst) and 23, 46, 106, 129 (mixed):
+    # a halt on a re-arm's cycle cancels it.
+    @pytest.mark.parametrize(
+        "halt_at", [0, 1, 20, 23, 30, 31, 44, 46, 62, 69, 106, 129, 500]
+    )
+    @pytest.mark.parametrize("arrivals", ["burst", "mixed"])
+    def test_halt_cancels_later_rearms(self, arrivals, halt_at):
+        kw = dict(
+            arrivals=self.ARRIVALS[arrivals], rearm=23, halt_at=halt_at
+        )
+        counted, _ = _relay_round(counted=True, **kw)
+        loop, _ = _relay_round(counted=False, **kw)
+        assert counted == loop
+
+    @pytest.mark.parametrize(
+        "dst, src, on_complete",
+        [
+            (Mem1dDsd("buf"), FabinDsd(None, extent=4), True),
+            (FaboutDsd(None, extent=4), FabinDsd(None, extent=4), False),
+        ],
+    )
+    def test_count_needs_a_relay_with_on_complete(self, dst, src, on_complete):
+        fabric, engine, colors = two_pe_setup()
+        c_go = colors.allocate("go")
+        pe = fabric.pe(0, 0)
+        pe.bind_task(c_go, Task("noop", lambda ctx: None))
+        with pytest.raises(TaskError, match="count=3"):
+            engine.submit_transfer(
+                pe, dst, src, 0.0, c_go if on_complete else None, count=3
+            )
+
+
 class TestLocalOps:
     def test_mem_to_mem_copy(self):
         fabric = Fabric(1, 1)
