@@ -1,31 +1,27 @@
-"""WSE simulator speed: legacy vs optimized engine vs row-parallel.
+"""WSE simulator speed: serial vs observed vs row-parallel vs hybrid.
 
 This is the acceptance benchmark for the simulator performance layer.
-Three optimizations stack on the hot path:
+Each strategy/mesh cell runs the same plan three ways — serial (one
+process), observed (serial plus a ``trace_level="off"`` tracer and a
+metrics registry) and parallel (``jobs`` row-partition workers) — and
+asserts the compressed bytes and makespans are identical before reporting
+wall time, simulated-cycles/second and engine events. A hybrid smoke
+(event vs hybrid composition on row-homogeneous workloads) rides along,
+and ``--wafer-budget`` times the full 750x994 Fig 14 point.
 
-* route caching — ``Fabric.resolve`` memoizes per (PE, color, entering
-  direction) instead of re-walking the static route for every send;
-* event-queue slimming + fused kernels — at most one ``task`` event per
-  PE, ``match`` probes only when they can pair, zero-copy scratch sends,
-  and whole-block compression fused into one vectorized kernel with
-  identical cycle accounting;
-* row-parallel simulation — provably independent row subgraphs simulated
-  in separate processes and merged exactly (``jobs > 1``).
+The engine's fast paths (route cache, event-queue slimming, counted
+relays, fused whole-block kernel) have no switch: their results are pinned
+by ``tests/wse/golden/engine_fingerprints.json``, which also caps every
+run's event count. Wall time is gated by ``ceresz report --gate`` on the
+per-config ``sim_wall_s`` against the committed ``BENCH_sim_speed.json``.
 
-Each strategy/mesh cell runs the same plan three ways — legacy (every
-fast path disabled), optimized (defaults, single process), and parallel
-(``jobs`` workers) — and asserts the compressed bytes and makespans are
-identical before reporting wall time and simulated-cycles/second.
-
-Run as a script (the point is relative wall clock, best-of-N):
+Run as a script (the point is wall clock, best-of-N):
 
     PYTHONPATH=src python benchmarks/bench_sim_speed.py
     PYTHONPATH=src python benchmarks/bench_sim_speed.py --quick
 
 Results land in ``BENCH_sim_speed.json`` (the perf trajectory) and
-``benchmarks/results/sim_speed.txt``. ``--min-speedup X`` exits non-zero
-unless the fig7 rows-strategy configuration speeds up by at least X
-single-process (CI uses a conservative threshold).
+``benchmarks/results/sim_speed.txt``.
 """
 
 from __future__ import annotations
@@ -71,7 +67,7 @@ LOG = get_logger("bench.sim_speed")
 BLOCK_SIZE = 32
 EPS = 1e-3
 
-#: Floor on best-of-N for the optimized/observed pair: their ratio is the
+#: Floor on best-of-N for the serial/observed pair: their ratio is the
 #: gated obs-overhead figure, and both wall times are short enough
 #: (~10-100 ms) that best-of-3 still carries scheduler noise. Profiling
 #: puts the true overhead near 1%; 25 interleaved order-alternating pairs
@@ -159,12 +155,11 @@ def run_config(
     num_blocks = blocks.shape[0]
 
     # "observed" is the observability acceptance mode: a trace_level="off"
-    # tracer plus a metrics registry attached to the optimized run. Its
+    # tracer plus a metrics registry attached to the serial run. Its
     # makespan must be identical and its wall time within a few percent —
     # the hot paths only pay one cached bool test per task.
     modes = {
-        "legacy": dict(optimize=False, fast_kernels=False, jobs=1),
-        "optimized": dict(jobs=1),
+        "serial": dict(jobs=1),
         "observed": dict(jobs=1),
         "parallel": dict(jobs=jobs),
     }
@@ -178,24 +173,22 @@ def run_config(
     results: dict[str, tuple[float, object]] = {}
     # Plan construction is outside every timed region: the benchmark
     # measures the simulator, and every mode lowers the same plan.
-    for mode in ("legacy", "parallel"):
-        plan = build_plan(strategy, rows, cols, blocks)
-        results[mode] = best_of(
-            repeats,
-            lambda p=plan, kw=modes[mode]: simulate_plan(p, **kw),
-        )
-    # The optimized/observed pair is timed interleaved: their ratio is the
+    plan_par = build_plan(strategy, rows, cols, blocks)
+    results["parallel"] = best_of(
+        repeats, lambda: simulate_plan(plan_par, **modes["parallel"])
+    )
+    # The serial/observed pair is timed interleaved: their ratio is the
     # gated obs-overhead figure. Observer construction is hoisted out of
     # the timed region — the overhead being gated is what observation
     # costs *per simulated task*, and on the small mesh a sub-millisecond
     # run otherwise reads object construction as simulator overhead.
-    plan_opt = build_plan(strategy, rows, cols, blocks)
+    plan_serial = build_plan(strategy, rows, cols, blocks)
     plan_obs = build_plan(strategy, rows, cols, blocks)
     tracer = Tracer(level="off")
     registry = MetricsRegistry()
-    results["optimized"], results["observed"] = best_of_paired(
+    results["serial"], results["observed"] = best_of_paired(
         max(repeats, OBS_REPEATS),
-        lambda: simulate_plan(plan_opt, **modes["optimized"]),
+        lambda: simulate_plan(plan_serial, **modes["serial"]),
         lambda: simulate_plan(
             plan_obs, tracer=tracer, metrics=registry, **modes["observed"]
         ),
@@ -212,8 +205,7 @@ def run_config(
             "partitions": run.partitions,
         }
     if not (
-        streams["legacy"] == streams["optimized"]
-        == streams["observed"] == streams["parallel"]
+        streams["serial"] == streams["observed"] == streams["parallel"]
     ):
         raise AssertionError(
             f"{strategy} {rows}x{cols}: modes disagree on compressed bytes"
@@ -224,10 +216,8 @@ def run_config(
             f"{strategy} {rows}x{cols}: modes disagree on makespan "
             f"{sorted(makespans)}"
         )
-    out["speedup_optimized"] = out["legacy"]["wall_s"] / out["optimized"]["wall_s"]
-    out["speedup_parallel"] = out["legacy"]["wall_s"] / out["parallel"]["wall_s"]
     out["obs_overhead"] = (
-        out["observed"]["wall_s"] / out["optimized"]["wall_s"] - 1.0
+        out["observed"]["wall_s"] / out["serial"]["wall_s"] - 1.0
     )
     return out
 
@@ -333,34 +323,30 @@ def run_wafer_point() -> dict:
 
 def render(configs: list[dict], jobs: int) -> str:
     lines = [
-        "WSE simulator speed: legacy vs optimized engine vs row-parallel",
+        "WSE simulator speed: serial vs observed vs row-parallel",
         f"block {BLOCK_SIZE}, eps {EPS}, jobs {jobs} for the parallel "
         "column, best-of-N wall clock",
         "",
-        f"{'config':<20} {'blocks':>6} {'legacy s':>9} {'opt s':>8} "
-        f"{'par s':>8} {'opt x':>6} {'par x':>6} {'obs %':>6} "
-        f"{'Mcyc/s opt':>11}",
+        f"{'config':<20} {'blocks':>6} {'serial s':>9} {'par s':>8} "
+        f"{'obs %':>6} {'Mcyc/s':>8} {'events':>8}",
     ]
     for c in configs:
         label = f"{c['strategy']} {c['rows']}x{c['cols']}"
         lines.append(
             f"{label:<20} {c['num_blocks']:>6} "
-            f"{c['legacy']['wall_s']:>9.4f} "
-            f"{c['optimized']['wall_s']:>8.4f} "
+            f"{c['serial']['wall_s']:>9.4f} "
             f"{c['parallel']['wall_s']:>8.4f} "
-            f"{c['speedup_optimized']:>6.2f} "
-            f"{c['speedup_parallel']:>6.2f} "
             f"{100 * c['obs_overhead']:>6.1f} "
-            f"{c['optimized']['cycles_per_s'] / 1e6:>11.1f}"
+            f"{c['serial']['cycles_per_s'] / 1e6:>8.1f} "
+            f"{c['serial']['events']:>8}"
         )
     lines += [
         "",
-        "(legacy: no route cache, per-activation task events, per-stage",
-        " state machine; optimized: all fast paths, single process;",
-        " observed: optimized + trace_level=off tracer and a metrics",
-        " registry — 'obs %' is its wall-time overhead; parallel:",
-        " optimized + row partitions across processes. All modes produce",
-        " identical bytes, makespans, and counters.)",
+        "(serial: one process; observed: serial + trace_level=off tracer",
+        " and a metrics registry — 'obs %' is its wall-time overhead;",
+        " parallel: row partitions across processes; events: engine",
+        " events of the serial run. All modes produce identical bytes,",
+        " makespans, and counters.)",
     ]
     return "\n".join(lines) + "\n"
 
@@ -415,13 +401,6 @@ def main(argv=None) -> int:
         "--quick",
         action="store_true",
         help="small mesh only, one repeat (CI smoke; still writes JSON)",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="fail unless the fig7 rows config speeds up by this factor "
-        "single-process",
     )
     parser.add_argument(
         "--max-obs-overhead",
@@ -500,7 +479,6 @@ def main(argv=None) -> int:
         "jobs": args.jobs,
         "quick": args.quick,
         "configs": configs,
-        "fig7_rows_speedup": fig7["speedup_optimized"],
         "fig7_rows_obs_overhead": fig7["obs_overhead"],
         "max_obs_overhead": worst_obs["obs_overhead"],
         "max_obs_overhead_config": (
@@ -536,17 +514,6 @@ def main(argv=None) -> int:
             fh.write(report)
         LOG.info("wrote", path=args.out)
 
-    if (
-        args.min_speedup is not None
-        and fig7["speedup_optimized"] < args.min_speedup
-    ):
-        LOG.error(
-            "gate_failed",
-            metric="fig7_rows_speedup",
-            value=round(fig7["speedup_optimized"], 2),
-            required=args.min_speedup,
-        )
-        return 1
     if args.max_obs_overhead is not None:
         # Every config is gated: the fixed observation cost bites hardest
         # on the smallest/fastest runs, which the fig7 (largest) config

@@ -7,21 +7,20 @@ pass walks the plan deterministically:
 1. allocate the plan's colors in declaration order;
 2. install every :class:`~repro.core.plan.RouteSpec`;
 3. per node (in plan order): allocate its SRAM buffers eagerly (so a
-   too-small fabric fails at build time, like the hand-written builders
-   did), attach a :class:`~repro.wse.trace.NodeCounters`, bind its tasks,
-   and schedule its t=0 activations;
+   too-small fabric fails at lowering time, before any event runs),
+   attach a :class:`~repro.wse.trace.NodeCounters`, bind its tasks, and
+   schedule its t=0 activations;
 4. inject the plan's feeds with a per-edge-port running clock (one wavelet
    per cycle per row port).
 
-The task closures reproduce the retired per-strategy builders cycle for
-cycle: the counted relay of Fig 9, the two-phase header/body receive of the
-decompression mapping, the staged head's combined relay-then-stage-group-0
-duty, and the serialized :class:`~repro.core.mapping.PipelineState`
-forwarding of Fig 6's pipelines. The one intentional unification: idle
-shuffle sub-stages (bit index >= the block's fixed length) are charged one
-task dispatch and skipped without entering the state machine, for every
+The task closures implement each node kind: the counted relay of Fig 9,
+the two-phase header/body receive of the decompression mapping, the staged
+head's combined relay-then-stage-group-0 duty, and the serialized
+:class:`~repro.core.mapping.PipelineState` forwarding of Fig 6's pipelines.
+Idle shuffle sub-stages (bit index >= the block's fixed length) are charged
+one task dispatch and skipped without entering the state machine, for every
 pipeline variant — the charge is identical to what ``run_substage`` on an
-idle bit cost, and the serialized phase difference ("lengthed" vs
+idle bit costs, and the serialized phase difference ("lengthed" vs
 "encoded") is invisible to both downstream stage groups and record
 finalization.
 
@@ -30,18 +29,13 @@ blocks emitted, and busy cycles per sub-stage into its
 :class:`~repro.wse.trace.NodeCounters`, which the engine's trace recorder
 aggregates for the per-stage validation breakdowns.
 
-Whole-block fast path: nodes that run the *entire* compression on one PE
+Whole-block kernel: nodes that run the *entire* compression on one PE
 (the rows strategy's ComputeNode, the multi-pipeline RelayNode with no
-stage group) use a fused kernel instead of stepping the per-sub-stage
-state machine. The kernel performs the identical arithmetic in one pass
-(all ``fl`` bit planes shuffled with a single vectorized pack) and then
-replays the exact per-stage accounting — the same ``ctx.spend`` calls with
-the same per-stage rounding and the same ``NodeCounters.add_stage``
-entries the stepped path would have made — so makespans, stage breakdowns
-and output bytes are bit-identical while the per-block Python overhead
-(64-entry superset scans, name parsing, phase checks) disappears.
-``lower_plan(..., fast_kernels=False)`` keeps the stepped path for
-differential testing and benchmarking.
+stage group) encode the block in one pass (:func:`encode_block`, all
+``fl`` bit planes shuffled with a single vectorized pack) and then charge
+Algorithm 1's per-stage prices (those of ``substage_cycles``) — one
+``NodeCounters`` entry per live sub-stage, with the cycle spend rounded
+per stage.
 """
 
 from __future__ import annotations
@@ -76,7 +70,7 @@ from repro.core.plan import (
 )
 from repro.config import CERESZ_HEADER_BYTES
 from repro.core.predictors import get_predictor
-from repro.core.stages import compression_substages, decompression_substages
+from repro.core.stages import decompression_substages
 from repro.errors import ScheduleError
 from repro.wse.color import Color, ColorAllocator
 from repro.wse.cost import CycleModel, PAPER_CYCLE_MODEL
@@ -115,7 +109,6 @@ def lower_plan(
     *,
     model: CycleModel = PAPER_CYCLE_MODEL,
     colors: ColorAllocator | None = None,
-    fast_kernels: bool = True,
     tracer=None,
 ) -> LoweredProgram:
     """Compile ``plan`` onto ``fabric``/``engine``; returns the live outputs.
@@ -123,10 +116,6 @@ def lower_plan(
     Deterministic by construction: colors, routes, buffers, task bindings,
     activations, and feed injections all follow plan declaration order, so
     two lowerings of the same plan produce identical event schedules.
-
-    ``fast_kernels`` selects the fused whole-block compression kernel for
-    nodes that run the full algorithm on one PE (see the module docstring);
-    results are identical either way.
 
     ``tracer`` (a :class:`repro.obs.tracing.Tracer`) wraps the pass in a
     ``"lower"`` host span; lowering itself is untraced beyond that.
@@ -140,13 +129,9 @@ def lower_plan(
             nodes=len(plan.nodes),
         ):
             return _lower_plan(
-                plan, fabric, engine, model=model, colors=colors,
-                fast_kernels=fast_kernels,
+                plan, fabric, engine, model=model, colors=colors
             )
-    return _lower_plan(
-        plan, fabric, engine, model=model, colors=colors,
-        fast_kernels=fast_kernels,
-    )
+    return _lower_plan(plan, fabric, engine, model=model, colors=colors)
 
 
 def _lower_plan(
@@ -156,7 +141,6 @@ def _lower_plan(
     *,
     model: CycleModel,
     colors: ColorAllocator | None,
-    fast_kernels: bool,
 ) -> LoweredProgram:
     plan.validate()
     if plan.rows > fabric.rows or plan.cols > fabric.cols:
@@ -201,13 +185,9 @@ def _lower_plan(
         pe.counters.append(nc)
         lowered.counters.append(nc)
         if isinstance(node, ComputeNode):
-            _lower_compute(
-                node, plan, pe, engine, cmap, model, outputs, nc, fast_kernels
-            )
+            _lower_compute(node, plan, pe, engine, cmap, model, outputs, nc)
         elif isinstance(node, RelayNode):
-            _lower_relay(
-                node, plan, pe, engine, cmap, model, outputs, nc, fast_kernels
-            )
+            _lower_relay(node, plan, pe, engine, cmap, model, outputs, nc)
         elif isinstance(node, StageNode):
             if plan.direction == "compress":
                 _lower_stage(node, plan, pe, engine, cmap, model, outputs, nc)
@@ -240,52 +220,50 @@ def _is_idle_shuffle(stage, fl: int | None) -> bool:
     )
 
 
-def _run_full_compress(
-    ctx: TaskContext,
-    stages,
+def encode_block(
+    values: np.ndarray,
     eps: float,
-    block_size: int,
-    model: CycleModel,
-    nc: NodeCounters,
-) -> PipelineState:
-    """Whole-algorithm compression of the block sitting in ``inbox``.
+    pred,
+    header_bytes: int = CERESZ_HEADER_BYTES,
+) -> tuple[int, bytes]:
+    """One block's float64 values -> ``(fixed length, record bytes)``.
 
-    Planned-but-idle shuffle bits are skipped entirely (uncharged) — the
-    whole-block kernels iterate only the bits the block actually needs.
+    Algorithm 1 in one pass: quantize, predict with ``pred`` (a registered
+    block-local predictor), then the record layout — the fixed-length
+    header, sign bytes, then bit planes 0..fl-1, little-endian packing
+    within bytes. A zero block (``fl == 0``) is the header alone.
     """
-    state = PipelineState(
-        phase="raw", block_size=block_size, values=ctx.buffer("inbox").copy()
+    codes = np.floor(values / (2.0 * eps) + 0.5)
+    residuals = pred.predict_blocks(codes[None, :])[0]
+    signs = np.packbits(
+        (residuals < 0).reshape(-1, 8), axis=-1, bitorder="little"
     )
-    for stage in stages:
-        if _is_idle_shuffle(stage, state.fl):
-            continue
-        state = run_substage(stage, state, eps)
-        cost = substage_cycles(stage, state.fl, model, block_size)
-        ctx.spend(cost)
-        nc.add_stage(stage.name, cost)
-    return state
+    mags = np.abs(residuals)
+    fl = int(mags.max()).bit_length()
+    header = fl.to_bytes(header_bytes, "little")
+    if fl == 0:
+        return 0, header
+    imags = mags.astype(np.int64)
+    ks = np.arange(fl, dtype=np.int64)
+    bits = ((imags[None, :] >> ks[:, None]) & 1).astype(np.uint8)
+    planes = np.packbits(bits.reshape(fl, -1, 8), axis=-1, bitorder="little")
+    return fl, header + signs.tobytes() + planes.tobytes()
 
 
-def _make_fast_compress(
+def _make_block_compress(
     plan: MappingPlan, model: CycleModel, nc: NodeCounters
 ):
-    """Fused whole-block compression: ``inbox`` values -> record bytes.
+    """Whole-block compression task body: ``inbox`` values -> record bytes.
 
-    Arithmetic and accounting are exact replays of the stepped path
-    (``_run_full_compress`` + ``finalize_record``): the same operations in
-    the same order, one ``ctx.spend``/``nc.add_stage`` pair per live stage
-    with the same per-stage rounding, and the same byte layout (sign bytes
-    then bit planes 0..fl-1, little-endian packing within bytes). The only
-    differences are mechanical: costs are precomputed at lowering time
-    instead of re-derived per block, and all ``fl`` bit planes are packed
-    in one vectorized call instead of ``fl`` separate ones.
+    Encodes with :func:`encode_block`, then books one ``nc.add_stage``
+    entry per live sub-stage and one ``ctx.spend`` of their per-stage
+    roundings. Costs are precomputed at lowering time instead of re-derived
+    per block.
 
     Prediction dispatches through the plan's registered block-local
-    predictor (``plan.predictor``); the default ``lorenzo1d`` performs the
-    exact first-difference arithmetic the stepped path's ``lorenzo``
-    sub-stage does. Other predictors keep the ``lorenzo`` cost entry: the
-    cycle model prices "the prediction sub-stage", and every block-local
-    predictor is the same O(block) pass.
+    predictor (``plan.predictor``). Every predictor keeps the ``lorenzo``
+    cost entry: the cycle model prices "the prediction sub-stage", and
+    every block-local predictor is the same O(block) pass.
     """
     block_size = plan.block_size
     eps = plan.eps
@@ -299,10 +277,10 @@ def _make_fast_compress(
         ("get_length", model.get_length.cycles(block_size)),
     )
     per_bit = model.bit_shuffle.cycles(block_size, 1)
-    # Accounting plans memoized per fixed length: the stepped path spends
-    # int(round(cost)) per stage, so the batched spend is the sum of the
-    # per-stage roundings (NOT round-of-sum) and the stage breakdown keeps
-    # the raw per-stage floats.
+    # Accounting plans memoized per fixed length: each sub-stage spends
+    # int(round(cost)), so the batched spend is the sum of the per-stage
+    # roundings (NOT round-of-sum) and the stage breakdown keeps the raw
+    # per-stage floats.
     acct: dict[int, tuple[int, tuple[tuple[str, float], ...]]] = {}
 
     def _acct_for(fl: int) -> tuple[int, tuple[tuple[str, float], ...]]:
@@ -316,26 +294,11 @@ def _make_fast_compress(
         return plan_
 
     def compress(ctx: TaskContext) -> bytes:
-        codes = np.floor(ctx.buffer("inbox") / (2.0 * eps) + 0.5)
-        residuals = pred.predict_blocks(codes[None, :])[0]
-        signs = np.packbits(
-            (residuals < 0).reshape(-1, 8), axis=-1, bitorder="little"
-        )
-        mags = np.abs(residuals)
-        fl = int(mags.max()).bit_length()
+        fl, record = encode_block(ctx.buffer("inbox"), eps, pred)
         spend, items = _acct_for(fl)
         ctx.spend(spend)
         nc.add_stages(items)
-        header = fl.to_bytes(CERESZ_HEADER_BYTES, "little")
-        if fl == 0:
-            return header
-        imags = mags.astype(np.int64)
-        ks = np.arange(fl, dtype=np.int64)
-        bits = ((imags[None, :] >> ks[:, None]) & 1).astype(np.uint8)
-        planes = np.packbits(
-            bits.reshape(fl, -1, 8), axis=-1, bitorder="little"
-        )
-        return header + signs.tobytes() + planes.tobytes()
+        return record
 
     return compress
 
@@ -352,11 +315,11 @@ def host_block_records(
 
     The degraded-mode fallback's encoder: given the raw (zero-padded)
     blocks a plan's feeds were built from, produce the exact record bytes
-    the fused wafer kernel (:func:`_make_fast_compress`) would have
-    emitted for ``indices`` — including the feed's float32 wire cast
-    (ingest sends ``float32`` wavelets into ``float64`` buffers, which is
-    lossy for raw float64 data and therefore part of the byte contract).
-    Keyed by block index, so the result merges straight into
+    the wafer kernel (:func:`encode_block`) would have emitted for
+    ``indices`` — including the feed's float32 wire cast (ingest sends
+    ``float32`` wavelets into ``float64`` buffers, which is lossy for raw
+    float64 data and therefore part of the byte contract). Keyed by block
+    index, so the result merges straight into
     :attr:`repro.core.mapping.ProgramOutputs.records`.
     """
     pred = get_predictor(predictor)
@@ -364,24 +327,7 @@ def host_block_records(
     for idx in indices:
         vals = np.asarray(raw_blocks[int(idx)], dtype=np.float64)
         vals = vals.astype(np.float32).astype(np.float64)
-        codes = np.floor(vals / (2.0 * eps) + 0.5)
-        residuals = pred.predict_blocks(codes[None, :])[0]
-        signs = np.packbits(
-            (residuals < 0).reshape(-1, 8), axis=-1, bitorder="little"
-        )
-        mags = np.abs(residuals)
-        fl = int(mags.max()).bit_length()
-        header = fl.to_bytes(header_bytes, "little")
-        if fl == 0:
-            out[int(idx)] = header
-            continue
-        imags = mags.astype(np.int64)
-        ks = np.arange(fl, dtype=np.int64)
-        bits = ((imags[None, :] >> ks[:, None]) & 1).astype(np.uint8)
-        planes = np.packbits(
-            bits.reshape(fl, -1, 8), axis=-1, bitorder="little"
-        )
-        out[int(idx)] = header + signs.tobytes() + planes.tobytes()
+        out[int(idx)] = encode_block(vals, eps, pred, header_bytes)[1]
     return out
 
 
@@ -443,20 +389,13 @@ def _lower_compute(
     model: CycleModel,
     outputs: ProgramOutputs,
     nc: NodeCounters,
-    fast_kernels: bool,
 ) -> None:
     """Whole-algorithm-per-PE node (the rows strategy's only worker kind)."""
     block_size = plan.block_size
     c_recv = cmap[node.recv]
     c_go = cmap[node.go]
     my = list(node.blocks)
-    # The stepped sub-stage machine models the paper's 1-D Lorenzo
-    # pipeline; any other block-local predictor always runs through the
-    # fused kernel, which dispatches on plan.predictor. Only the stepped
-    # machine walks the 64-bit superset stage plan.
-    use_fast = fast_kernels or plan.predictor != "lorenzo1d"
-    fast = _make_fast_compress(plan, model, nc) if use_fast else None
-    stages = None if use_fast else compression_substages(64, block_size, model)
+    compress = _make_block_compress(plan, model, nc)
     progress = {"next": 0}
 
     def recv(ctx: TaskContext) -> None:
@@ -469,13 +408,7 @@ def _lower_compute(
     def compute(ctx: TaskContext) -> None:
         idx = my[progress["next"]]
         progress["next"] += 1
-        if fast is not None:
-            outputs.records[idx] = fast(ctx)
-        else:
-            state = _run_full_compress(
-                ctx, stages, plan.eps, block_size, model, nc
-            )
-            outputs.records[idx] = finalize_record(state)
+        outputs.records[idx] = compress(ctx)
         nc.blocks_emitted += 1
         if progress["next"] < len(my):
             ctx.activate(c_recv)
@@ -497,7 +430,6 @@ def _lower_relay(
     model: CycleModel,
     outputs: ProgramOutputs,
     nc: NodeCounters,
-    fast_kernels: bool,
 ) -> None:
     """Fig 9 counted relay + compute (multi-pipeline PE or staged head)."""
     block_size = plan.block_size
@@ -560,24 +492,12 @@ def _lower_relay(
             ctx.activate(c_recv)
 
     if node.group is None:
-        # Same rule as _lower_compute: the stepped machine is the 1-D
-        # Lorenzo model; other predictors take the fused kernel.
-        use_fast = fast_kernels or plan.predictor != "lorenzo1d"
-        fast = _make_fast_compress(plan, model, nc) if use_fast else None
-        stages = (
-            None if use_fast else compression_substages(64, block_size, model)
-        )
+        compress = _make_block_compress(plan, model, nc)
 
         def consume(ctx: TaskContext) -> None:
             idx = my[box["done"]]
             box["done"] += 1
-            if fast is not None:
-                outputs.records[idx] = fast(ctx)
-            else:
-                state = _run_full_compress(
-                    ctx, stages, plan.eps, block_size, model, nc
-                )
-                outputs.records[idx] = finalize_record(state)
+            outputs.records[idx] = compress(ctx)
             nc.blocks_emitted += 1
 
     else:

@@ -128,10 +128,6 @@ def run_pool(fn, items, jobs: int, *, processes: bool = False) -> list:
         return list(pool.map(fn, items))
 
 
-def _run_pool(fn, items, jobs: int) -> list:
-    return run_pool(fn, items, jobs)
-
-
 def run_pool_resilient(
     fn,
     items,
@@ -500,7 +496,7 @@ def compress_sharded(
             )
 
         try:
-            results = _run_pool(_one, bounds, jobs)
+            results = run_pool(_one, bounds, jobs)
         except NonFiniteInputError:
             # A shard counts and indexes its own slice; report the field.
             raise nonfinite_input_error(flat) from None
@@ -734,7 +730,7 @@ def decompress_sharded(
             lo, hi = span
             return codec.decompress(stream[lo:hi]).reshape(-1)
 
-        parts = _run_pool(_one, spans, jobs)
+        parts = run_pool(_one, spans, jobs)
     if failures:
         from repro.core.decompressor import _shard_element_counts
 

@@ -1101,7 +1101,7 @@ def plan_multi_pipeline(
         raise ScheduleError(
             "the multi-pipeline builder models pipeline_length=1 (the "
             "paper's optimal configuration); longer pipelines compose via "
-            "build_pipeline_program"
+            "plan_pipeline"
         )
     num_blocks, block_size = blocks.shape
 

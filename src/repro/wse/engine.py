@@ -41,9 +41,6 @@ second event at the same cycle; a freshly posted receive or relay that
 finds data waiting still queues one ``match`` probe at its posting cycle.
 These are pure event-count reductions: timing and matching order are
 unchanged, only redundant no-op events disappear.
-``Engine(..., optimize=False)`` restores the pre-optimization behaviour
-(every activation pushes a task event, every deliver/post pushes a match,
-every send copies) so the benchmark suite can measure the difference.
 
 Counted relays
 --------------
@@ -164,17 +161,11 @@ class Engine:
         fabric: Fabric,
         *,
         max_events: int = 50_000_000,
-        optimize: bool = True,
         tracer=None,
         faults: FaultInjector | FaultPlan | None = None,
     ):
         self.fabric = fabric
         self.max_events = max_events
-        #: Event-queue slimming + zero-copy scratch sends (see the module
-        #: docstring). ``optimize=False`` keeps the naive behaviour so the
-        #: benchmark harness can measure what the optimizations buy; results
-        #: are identical either way.
-        self.optimize = optimize
         #: Optional :class:`repro.obs.tracing.Tracer`. Per-PE timeline
         #: events are recorded only at ``trace_level="timeline"``; the
         #: level is cached as one bool so the off path costs a single
@@ -303,12 +294,12 @@ class Engine:
             )
             # A freshly posted receive can only pair if data already sits in
             # the inbox; otherwise the next deliver event probes for us.
-            if not self.optimize or pe.inbox.get(src.color.id):
+            if pe.inbox.get(src.color.id):
                 self._push(now, _Event("match", pe, src.color.id))
         elif isinstance(dst, FaboutDsd) and isinstance(src, Mem1dDsd):
             view = src.resolve(pe.buffers)
             names = self._scratch.get(pe.coord)
-            if self.optimize and names and src.buffer in names:
+            if names and src.buffer in names:
                 # Transmit scratch: the buffer is freed right after the send
                 # captures it, so ownership transfers to the fabric and no
                 # defensive copy is needed (see the ownership rule above).
@@ -335,7 +326,7 @@ class Engine:
                     on_rearm,
                 )
             )
-            if not self.optimize or pe.inbox.get(src.color.id):
+            if pe.inbox.get(src.color.id):
                 self._push(now, _Event("match", pe, src.color.id))
         elif isinstance(dst, Mem1dDsd) and isinstance(src, Mem1dDsd):
             target = dst.resolve(pe.buffers)
@@ -487,10 +478,7 @@ class Engine:
             # Data that can pair is matched now rather than by a same-cycle
             # probe; data with no posted receive/relay waits in the inbox
             # until the matching submit_transfer probes.
-            if self.optimize:
-                self._match(event.pe, event.color_id, time)
-            else:
-                self._push(time, _Event("match", event.pe, event.color_id))
+            self._match(event.pe, event.color_id, time)
         elif event.kind == "match":
             self._match(event.pe, event.color_id, time)
         elif event.kind == "activate":
@@ -644,10 +632,9 @@ class Engine:
         dispatcher re-arms while pending activations remain — so dropping
         the duplicate never delays a task.
         """
-        if self.optimize:
-            if pe.task_scheduled:
-                return
-            pe.task_scheduled = True
+        if pe.task_scheduled:
+            return
+        pe.task_scheduled = True
         self._push(at, _Event("task", pe))
 
     def _run_task(self, pe: ProcessingElement, time: float) -> None:

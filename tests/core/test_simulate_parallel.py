@@ -1,11 +1,12 @@
-"""Row-parallel and legacy-engine simulation equivalence.
+"""Row-parallel and observed simulation equivalence.
 
-The performance layer must be invisible in results: the optimized engine
-(route cache, event dedup, zero-copy sends, fused kernels) and row-parallel
-simulation with ``jobs > 1`` have to reproduce the legacy single-process
-run cycle for cycle and byte for byte. These tests sweep the plan matrix
-and compare makespans, compressed bytes, per-PE traces, and per-stage
-counter breakdowns across all three execution modes.
+The performance layer must be invisible in results: row-parallel
+simulation with ``jobs > 1`` and observed runs (tracer, metrics) have to
+reproduce the plain single-process run cycle for cycle and byte for byte.
+These tests sweep the plan matrix and compare makespans, compressed bytes,
+per-PE traces, and per-stage counter breakdowns across execution modes.
+The engine's own fast paths (route cache, event dedup, zero-copy sends,
+fused kernels) are pinned by ``tests/wse/golden/engine_fingerprints.json``.
 """
 
 import numpy as np
@@ -147,30 +148,6 @@ class TestExecutionModeEquivalence:
         )
         assert _trace_rows(plain.report.trace) == _trace_rows(
             observed.report.trace
-        )
-
-    def test_optimized_matches_legacy(self, strategy):
-        blocks = _blocks(13)
-        legacy = simulate_plan(
-            _plan(strategy, blocks), optimize=False, fast_kernels=False
-        )
-        optimized = simulate_plan(_plan(strategy, blocks))
-        assert legacy.outputs.stream(13) == optimized.outputs.stream(13)
-        assert (
-            legacy.report.makespan_cycles
-            == optimized.report.makespan_cycles
-        )
-        assert legacy.report.tasks_run == optimized.report.tasks_run
-        assert _trace_rows(legacy.report.trace) == _trace_rows(
-            optimized.report.trace
-        )
-        assert _counter_rows(legacy.report.trace) == _counter_rows(
-            optimized.report.trace
-        )
-        # The optimizations exist to shrink the event queue.
-        assert (
-            optimized.report.events_processed
-            <= legacy.report.events_processed
         )
 
 

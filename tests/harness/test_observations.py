@@ -2,28 +2,30 @@
 
 import pytest
 
-from repro.harness.observations import (
-    all_observations,
-    observation2_ratio,
-    observation3_quality,
-)
+from repro.harness.observations import all_observations
+
+
+@pytest.fixture(scope="module")
+def verdicts():
+    """One reproduction of all three Observations, shared by every test
+    (Observation 2 alone reruns the Table 5 sweep)."""
+    return all_observations()
 
 
 class TestObservations:
-    def test_observation2_holds(self):
-        v = observation2_ratio()
+    def test_observation2_holds(self, verdicts):
+        v = verdicts[1]
         assert v.holds, v.evidence
         assert v.evidence["SZp"] == pytest.approx(v.evidence["cuSZp"])
 
-    def test_observation3_holds(self):
-        v = observation3_quality()
+    def test_observation3_holds(self, verdicts):
+        v = verdicts[2]
         assert v.holds, v.evidence
         assert v.evidence["reconstructions_identical"]
         assert v.evidence["ratio_cuszp"] > v.evidence["ratio_ceresz"]
 
     @pytest.mark.slow
-    def test_all_observations_hold(self):
-        verdicts = all_observations()
+    def test_all_observations_hold(self, verdicts):
         assert [v.observation for v in verdicts] == [1, 2, 3]
         for v in verdicts:
             assert v.holds, (v.observation, v.evidence)

@@ -137,13 +137,11 @@ class TestHeadlineAdapters:
     def test_sim_speed(self):
         payload = {
             "benchmark": "sim_speed",
-            "fig7_rows_speedup": 8.0,
             "max_obs_overhead": 0.02,
             "configs": [
                 {
                     "strategy": "rows", "rows": 4, "cols": 1,
-                    "optimized": {"makespan_cycles": 1000.0},
-                    "speedup_optimized": 8.0,
+                    "serial": {"makespan_cycles": 1000.0, "wall_s": 0.05},
                 }
             ],
             "hybrid_configs": [
@@ -156,6 +154,10 @@ class TestHeadlineAdapters:
         }
         vals = headline_values(payload)
         assert vals["rows4x1.makespan_cycles"] == 1000.0
+        assert vals["rows4x1.sim_wall_s"] == 0.05
+        assert vals["max_obs_overhead"] == 0.02
+        policy = metric_policy("rows4x1.sim_wall_s")
+        assert (policy.direction, policy.kind) == ("lower", "timing")
         assert vals["rows4x1.hybrid_speedup"] == 2.5
         assert vals["wafer.wall_s"] == 4.2
 

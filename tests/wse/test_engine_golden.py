@@ -13,8 +13,10 @@ row pins the same fields (bar the records) plus the
 at which a relay task re-armed in the clean run, so the tie between a halt
 and a re-arm due at the same cycle is pinned too.
 
-Engine changes may only move ``events_processed``: every other recorded
-field must match the fixture exactly.
+Engine changes may only move ``events_processed``, and only down: every
+other recorded field must match the fixture exactly, and no run may process
+more events than the fixture pins (the event-queue slimming and counted
+relays described in :mod:`repro.wse.engine` keep every run under it).
 """
 
 from __future__ import annotations
@@ -65,65 +67,37 @@ def _dist(length: int):
 
 
 def _plans() -> dict:
-    """Name -> (plan builder, engine options) for every clean run."""
+    """Name -> plan builder for every clean run."""
     return {
-        "rows_3x1": (
-            lambda: plan_row_parallel(_blocks(20, 1), EPS, rows=3, cols=1),
-            {},
+        "rows_3x1": lambda: plan_row_parallel(
+            _blocks(20, 1), EPS, rows=3, cols=1
         ),
-        "pipeline_2stage_2x2": (
-            lambda: plan_pipeline(
-                _blocks(12, 2), EPS, _dist(2), rows=2, cols=2
-            ),
-            {},
+        "pipeline_2stage_2x2": lambda: plan_pipeline(
+            _blocks(12, 2), EPS, _dist(2), rows=2, cols=2
         ),
-        "pipeline_3stage_1x3": (
-            lambda: plan_pipeline(
-                _blocks(9, 3), EPS, _dist(3), rows=1, cols=3
-            ),
-            {},
+        "pipeline_3stage_1x3": lambda: plan_pipeline(
+            _blocks(9, 3), EPS, _dist(3), rows=1, cols=3
         ),
-        "staged_2x4": (
-            lambda: plan_staged_multi_pipeline(
-                _blocks(19, 4), EPS, _dist(2), rows=2, cols=4
-            ),
-            {},
+        "staged_2x4": lambda: plan_staged_multi_pipeline(
+            _blocks(19, 4), EPS, _dist(2), rows=2, cols=4
         ),
-        "staged_2x9": (
-            lambda: plan_staged_multi_pipeline(
-                _blocks(23, 5), EPS, _dist(3), rows=2, cols=9
-            ),
-            {},
+        "staged_2x9": lambda: plan_staged_multi_pipeline(
+            _blocks(23, 5), EPS, _dist(3), rows=2, cols=9
         ),
-        "multi_2x3": (
-            lambda: plan_multi_pipeline(_blocks(17, 6), EPS, rows=2, cols=3),
-            {},
+        "multi_2x3": lambda: plan_multi_pipeline(
+            _blocks(17, 6), EPS, rows=2, cols=3
         ),
-        "multi_2x3_legacy_engine": (
-            lambda: plan_multi_pipeline(_blocks(17, 6), EPS, rows=2, cols=3),
-            {"optimize": False},
+        "multi_3x4": lambda: plan_multi_pipeline(
+            _blocks(30, 7), EPS, rows=3, cols=4
         ),
-        "multi_2x3_stepped": (
-            lambda: plan_multi_pipeline(_blocks(17, 6), EPS, rows=2, cols=3),
-            {"fast_kernels": False},
+        "multi_4x4": lambda: plan_multi_pipeline(
+            _blocks(16, 8), EPS, rows=4, cols=4
         ),
-        "multi_3x4": (
-            lambda: plan_multi_pipeline(_blocks(30, 7), EPS, rows=3, cols=4),
-            {},
+        "multi_1x64": lambda: plan_multi_pipeline(
+            _blocks(150, 9), EPS, rows=1, cols=64
         ),
-        "multi_4x4": (
-            lambda: plan_multi_pipeline(_blocks(16, 8), EPS, rows=4, cols=4),
-            {},
-        ),
-        "multi_1x64": (
-            lambda: plan_multi_pipeline(_blocks(150, 9), EPS, rows=1, cols=64),
-            {},
-        ),
-        "multi_1x256": (
-            lambda: plan_multi_pipeline(
-                _blocks(256, 10), EPS, rows=1, cols=256
-            ),
-            {},
+        "multi_1x256": lambda: plan_multi_pipeline(
+            _blocks(256, 10), EPS, rows=1, cols=256
         ),
     }
 
@@ -169,17 +143,16 @@ def _timeline(tracer) -> list:
     )
 
 
-def _execute(plan, *, optimize=True, fast_kernels=True, faults=None):
+def _execute(plan, *, faults=None):
     fabric = Fabric(plan.rows, plan.cols)
     tracer = Tracer(level="timeline")
-    engine = Engine(fabric, optimize=optimize, tracer=tracer, faults=faults)
-    lowered = lower_plan(plan, fabric, engine, fast_kernels=fast_kernels)
+    engine = Engine(fabric, tracer=tracer, faults=faults)
+    lowered = lower_plan(plan, fabric, engine)
     return fabric, tracer, engine, lowered
 
 
 def fingerprint_clean(name: str) -> dict:
-    build, options = _plans()[name]
-    fabric, tracer, engine, lowered = _execute(build(), **options)
+    fabric, tracer, engine, lowered = _execute(_plans()[name]())
     report = engine.run()
     timeline = _timeline(tracer)
     return {
@@ -269,7 +242,9 @@ def golden() -> dict:
 @pytest.mark.parametrize("name", sorted(_plans()))
 def test_clean_run_matches_golden(golden, name):
     got = fingerprint_clean(name)
-    assert _without_events(got) == _without_events(golden["clean"][name])
+    want = golden["clean"][name]
+    assert _without_events(got) == _without_events(want)
+    assert got["events_processed"] <= want["events_processed"]
 
 
 def test_counted_relay_cuts_events_on_long_rows(golden):
@@ -284,6 +259,9 @@ def test_halt_sweep_matches_golden(golden):
     for want in golden["halts"]:
         got = fingerprint_halt(*want["halt"])
         assert _without_events(got) == _without_events(want), want["halt"]
+        assert got["events_processed"] <= want["events_processed"], (
+            want["halt"]
+        )
 
 
 if __name__ == "__main__":  # pragma: no cover - fixture writer

@@ -41,18 +41,23 @@ class TestRouteCacheHits:
         assert fabric.route_cache_size == size_after_first
 
     def test_cached_and_walked_routes_agree(self):
+        # Warm lookups (answered from the memo one source walk filled)
+        # must equal the cold walk of a fresh fabric, whose first resolve
+        # from any position is a miss that walks the route.
         fabric = Fabric(2, 4)
-        cold = Fabric(2, 4, cache_routes=False)
         color = Color(2)
-        for f in (fabric, cold):
-            _eastward_chain(f, color, 1, 4)
+        _eastward_chain(fabric, color, 1, 4)
+        fabric.resolve(1, 0, color)
         for col in range(3):
             entering = Direction.RAMP if col == 0 else Direction.WEST
-            assert fabric.resolve(1, col, color, entering) == cold.resolve(
-                1, col, color, entering
-            )
-        assert cold.route_cache_size == 0
-        assert cold.route_cache_hits == 0
+            cold = Fabric(2, 4)
+            _eastward_chain(cold, color, 1, 4)
+            walked = cold.resolve(1, col, color, entering)
+            assert cold.route_cache_misses == 1
+            assert cold.route_cache_hits == 0
+            assert fabric.resolve(1, col, color, entering) == walked
+        assert fabric.route_cache_misses == 1
+        assert fabric.route_cache_hits == 3
 
 
 class TestRouteCacheInvalidation:
@@ -101,12 +106,6 @@ class TestRouteCacheInvalidation:
         assert fabric.route_cache_misses == 1
         fabric.resolve(0, 0, color)
         assert fabric.route_cache_misses == 1  # warm now
-        # The uncached fabric never counts hits or misses.
-        cold = Fabric(1, 3, cache_routes=False)
-        cold.route_row_segment(0, 0, 2, color)
-        cold.resolve(0, 0, color)
-        assert cold.route_cache_misses == 0
-        assert cold.route_cache_hits == 0
 
     def test_error_paths_stay_uncached(self):
         fabric = Fabric(1, 2)
